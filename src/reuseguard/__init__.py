@@ -17,6 +17,7 @@ from .errors import (
     InsufficientRespondersError,
     InvalidCiphertextError,
     MalformedAddressError,
+    NoResponseError,
     NotOnCurveError,
     ReuseGuardError,
     TransportError,
@@ -31,5 +32,5 @@ __all__ = [
     "ReuseGuardError", "UnsupportedGroupError", "NotOnCurveError",
     "InvalidCiphertextError", "ConsentRequiredError", "ConsentTokenError",
     "InsufficientRespondersError", "InfeasibleError", "MalformedAddressError",
-    "FrameError", "TransportError",
+    "FrameError", "TransportError", "NoResponseError",
 ]

@@ -10,10 +10,14 @@ through as opaque ciphertext carriers.
 
 Queries are only forwarded during a consent window that the account owner
 opens by redeeming a single-use token (the stand-in for clicking a
-confirmation link).  The directory can also audit a responder by sending
-a query whose every slot is a non-identity encryption under a key the
-directory itself holds; any identity answer to such a query is proof of a
-fabricated "reused" verdict.
+confirmation link).  The network daemon hands ``fanout`` a ``wire.RawQuery``
+(the parsed header plus the untouched payload) and relays the responders'
+reply bytes; only ``account_id`` is read here.
+
+The directory can also audit a responder by sending a query whose every
+slot is a non-identity encryption under a key the directory itself holds;
+any identity answer to such a query is proof of a fabricated "reused"
+verdict.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from . import bloom, elgamal, protocol
 from .errors import (
     ConsentRequiredError,
     ConsentTokenError,
     InsufficientRespondersError,
+    InvalidCiphertextError,
     MalformedAddressError,
 )
 from .groups import P192
@@ -127,16 +132,19 @@ class AuditVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-Transport = Callable[[ResponderEndpoint, protocol.QueryMessage, float],
-                     protocol.ResponseMessage]
+# (endpoint, query, timeout) -> reply.  A relayed ``wire.RawQuery`` gets the
+# reply's bytes back; a ``protocol.QueryMessage`` (an audit) gets a
+# ``protocol.ResponseMessage``.
+Transport = Callable[[ResponderEndpoint, object, float], object]
 
 
 class Directory:
     """In-process directory core; the network daemon wraps this.
 
     ``transport`` delivers one query to one endpoint within a timeout and
-    returns the response message (raising ``TimeoutError`` or any other
-    exception on failure).  State mutations are appended to a JSON-lines
+    returns the reply (raising ``InvalidCiphertextError`` when the
+    responder rejected the query, ``TimeoutError`` or any other exception
+    on other failures).  State mutations are appended to a JSON-lines
     log under ``state_dir`` when given, with a snapshot written on
     ``close`` and replayed on startup.
     """
@@ -279,14 +287,19 @@ class Directory:
             window.plans[rho] = plan
         return plan
 
-    def fanout(self, query: protocol.QueryMessage, rho: int
-               ) -> List[protocol.ResponseMessage]:
+    def fanout(self, query, rho: int) -> list:
         """Forward a query to rho sticky-chosen responders; permute replies.
 
-        Requires an open consent window for the query's account.  Each
+        ``query`` is a ``wire.RawQuery`` or a ``protocol.QueryMessage``;
+        only its ``account_id`` is read, and it goes to the transport as
+        is.  Requires an open consent window for the query's account.  Each
         responder gets the per-responder timeout; when an early-return
         fraction is configured, returns as soon as that share of replies
         arrived.  The reply order is freshly and uniformly permuted.
+
+        Raises InvalidCiphertextError when every chosen responder rejected
+        the query.  Honest responders reject an invalid query before they
+        look at their index sets, so this says nothing about any of them.
         """
         if self.transport is None:
             raise RuntimeError("directory has no transport configured")
@@ -294,30 +307,35 @@ class Directory:
         with self._lock:
             window = self._open_window(account)
             plan = self._plan(window, account, rho)
-        responses = self._collect(plan.chosen, query)
+        responses, rejected = self._collect(plan.chosen, query)
+        if rejected and rejected == len(plan.chosen):
+            raise InvalidCiphertextError("every chosen responder rejected the query")
         self._rng.shuffle(responses)
         self._log({"op": "fanout", "account": account,
                    "rho": rho, "collected": len(responses)})
         return responses
 
-    def _collect(self, endpoints, query) -> List[protocol.ResponseMessage]:
+    def _collect(self, endpoints, query) -> Tuple[list, int]:
+        """Replies that arrived in time, and how many responders rejected."""
         need = len(endpoints)
         if self.early_return_fraction is not None:
             need = max(1, math.ceil(self.early_return_fraction * len(endpoints) - 1e-9))
         timeout = self.per_responder_timeout
+        out = []
+        rejected = 0
         if self.max_workers <= 1:
             # Serial mode: used by the benchmark harness to record
             # per-request wall clock without scheduling effects.
-            out = []
             for ep in endpoints:
                 try:
                     out.append(self.transport(ep, query, timeout))
+                except InvalidCiphertextError:
+                    rejected += 1
                 except Exception:
                     continue
                 if len(out) >= need:
                     break
-            return out
-        out = []
+            return out, rejected
         pool = ThreadPoolExecutor(max_workers=min(self.max_workers, len(endpoints)))
         try:
             pending = {pool.submit(self.transport, ep, query, timeout)
@@ -332,12 +350,14 @@ class Directory:
                 for fut in done:
                     try:
                         out.append(fut.result())
+                    except InvalidCiphertextError:
+                        rejected += 1
                     except Exception:
                         continue
         finally:
             # Do not wait out stragglers: early return is the whole point.
             pool.shutdown(wait=False, cancel_futures=True)
-        return out
+        return out, rejected
 
     # -- audit ------------------------------------------------------------
 

@@ -131,11 +131,12 @@ def decrypt(sk: SecretKey, c: Ciphertext):
 
 
 def rerandomize(pk: PublicKey, c: Ciphertext, rng=None) -> Ciphertext:
+    # One U^y per key: a plain exponentiation, not a fixed-base table.
     y = (rng or _SYSTEM_RNG).randrange(pk.group.order)
     group = pk.group
     return Ciphertext(
         group.mul(c.ephemeral, pk.exp_generator(y)),
-        group.mul(c.body, pk.exp_point(y)),
+        group.mul(c.body, group.exp(pk.point, y)),
     )
 
 

@@ -29,6 +29,10 @@ class InsufficientRespondersError(ReuseGuardError):
     """Fewer responders are registered than the fan-out requires."""
 
 
+class NoResponseError(ReuseGuardError):
+    """A run collected no responder reply, so it has no verdict."""
+
+
 class InfeasibleError(ReuseGuardError):
     """No parameter choice satisfies the response-time constraint."""
 

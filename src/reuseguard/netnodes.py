@@ -28,6 +28,7 @@ from .errors import (
     FrameError,
     InsufficientRespondersError,
     InvalidCiphertextError,
+    NoResponseError,
     TransportError,
 )
 from .groups import P192
@@ -228,11 +229,17 @@ def tcp_request(address: str, opcode: int, payload: bytes, timeout: float,
 
 def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None,
                                  rng=None, retries: int = 0):
-    """Directory-side transport delivering queries to responder services."""
+    """Directory-side transport delivering queries to responder services.
 
-    def transport(endpoint: ResponderEndpoint, query: protocol.QueryMessage,
-                  timeout: float) -> protocol.ResponseMessage:
-        payload = wire.encode_query(query)
+    A ``wire.RawQuery`` (a relayed query) goes out as its payload bytes and
+    comes back as the reply's bytes, checked for size only.  A
+    ``protocol.QueryMessage`` (an audit) is encoded, and its reply decoded.
+    """
+
+    def transport(endpoint: ResponderEndpoint, query, timeout: float):
+        relay = isinstance(query, wire.RawQuery)
+        group = query.group if relay else query.pk.group
+        payload = query.payload if relay else wire.encode_query(query)
         inject_latency(profile, "request", rng)
         opcode, body = tcp_request(endpoint.address, wire.OP_QUERY, payload,
                                    timeout, retries)
@@ -241,7 +248,11 @@ def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None,
             raise InvalidCiphertextError(f"responder error {wire.decode_error(body)}")
         if opcode != wire.OP_RESPONSE:
             raise TransportError(f"unexpected opcode {opcode}")
-        return wire.decode_response(body, query.pk.group)
+        if not relay:
+            return wire.decode_response(body, group)
+        if len(body) != wire.response_payload_size(group):
+            raise FrameError("bad response payload size")
+        return body
 
     return transport
 
@@ -253,22 +264,29 @@ def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
 
     With ``wire_roundtrip`` the query and response pass through the real
     codecs so serialization and point decompression costs are included.
+    A ``wire.RawQuery`` is always decoded and answered with reply bytes,
+    as a responder service would.
     """
 
-    def transport(endpoint: ResponderEndpoint, query: protocol.QueryMessage,
-                  timeout: float) -> protocol.ResponseMessage:
+    def transport(endpoint: ResponderEndpoint, query, timeout: float):
         store = stores.get(endpoint.address)
         if store is None:
             raise TransportError(f"no responder at {endpoint.address}")
         inject_latency(profile, "request", rng)
-        if wire_roundtrip:
+        relay = isinstance(query, wire.RawQuery)
+        if relay:
+            query = wire.decode_query(query.payload)
+        elif wire_roundtrip:
             query = wire.decode_query(wire.encode_query(query))
         similar = store.get(query.account_id) or similarity.SimilarSet(
             query.account_id, (), 0, 0)
         response = protocol.respond(query, similar, rng)
-        if wire_roundtrip:
+        group = query.pk.group
+        if relay:
+            response = wire.encode_response(response, group)
+        elif wire_roundtrip:
             response = wire.decode_response(
-                wire.encode_response(response, query.pk.group), query.pk.group)
+                wire.encode_response(response, group), group)
         inject_latency(profile, "response", rng)
         return response
 
@@ -329,12 +347,12 @@ class DirectoryServer(socketserver.ThreadingTCPServer):
                 count = directory.responder_count(wire.decode_account(payload))
                 return wire.OP_COUNT, wire.encode_count(count)
             if opcode == wire.OP_QUERY:
+                # Route on the header; query and reply bytes pass through.
                 rho, query_payload = wire.decode_directory_query(payload)
-                query = wire.decode_query(query_payload)
-                pad = wire.response_payload_size(query.pk.group)
-                responses = directory.fanout(query, rho)
-                encoded = [wire.encode_response(r, query.pk.group) for r in responses]
-                return wire.OP_RESPONSES, wire.encode_responses(encoded)
+                raw = wire.parse_query_header(query_payload)
+                pad = wire.response_payload_size(raw.group)
+                return wire.OP_RESPONSES, wire.encode_responses(
+                    directory.fanout(raw, rho))
             if opcode == wire.OP_AUDIT:
                 account_unused, address, transport = wire.decode_register(payload)
                 verdict = directory.audit_responder(
@@ -423,10 +441,16 @@ class DirectoryClient:
 
     def query(self, query: protocol.QueryMessage, rho: int
               ) -> List[protocol.ResponseMessage]:
+        """The decoded replies; one that does not decode is dropped."""
         payload = wire.encode_directory_query(rho, wire.encode_query(query))
         body = self._call(wire.OP_QUERY, payload, wire.OP_RESPONSES)
-        return [wire.decode_response(raw, query.pk.group)
-                for raw in wire.decode_responses(body)]
+        responses = []
+        for raw in wire.decode_responses(body):
+            try:
+                responses.append(wire.decode_response(raw, query.pk.group))
+            except (FrameError, InvalidCiphertextError):
+                continue
+        return responses
 
     def audit(self, address: str, transport: str = "tcp") -> str:
         body = self._call(wire.OP_AUDIT,
@@ -464,7 +488,8 @@ def requester_set_password(client: DirectoryClient, account: str,
     similar one.  On acceptance, executes the decoy policy (total runs
     for the episode reach at least ``min_runs``, plus one extra run with
     the configured probability) and registers ``register_endpoint`` for
-    the account when given.
+    the account when given.  Raises NoResponseError when a run collects
+    no reply at all.
     """
     rng = rng or _SYSTEM_RNG
     canonical = canonicalize(account)
@@ -483,6 +508,10 @@ def requester_set_password(client: DirectoryClient, account: str,
             canonical, candidate, plan.n, group=group, k=k,
             hash_params=hash_params, rng=rng)
         responses = client.query(query, plan.rho)
+        if not responses:
+            # Fail closed: no reply is no verdict, not an acceptance.
+            raise NoResponseError(
+                f"none of the {plan.rho} chosen responders answered")
         hits = sum(1 for r in responses if protocol.decode_result(session, r))
         return hits, len(responses)
 

@@ -4,7 +4,7 @@ Frame layout (big-endian throughout):
 
     magic (2) | version (1) | opcode (1) | payload_len (4) | payload
 
-Query payload:
+Query payload, a header followed by the slots:
 
     account (2-byte len + UTF-8) | curve id (1) | pk point (compressed) |
     filter length (4) | hash count (2) | seed (2-byte len + bytes) |
@@ -12,14 +12,25 @@ Query payload:
 
 A compressed point is one parity byte (0x02 even / 0x03 odd / 0x00 for
 the identity) followed by the big-endian x coordinate at field size.
-Error payloads are padded to the exact size of a success response payload
-so a failure is not distinguishable by length.
+
+Query decoding is split in two.  ``parse_query_header`` reads the header,
+checks that the payload is exactly as long as the header says, and
+decompresses no point: the directory routes on the ``RawQuery`` it returns
+and relays the payload bytes unchanged.  ``decode_query`` parses the same
+header and then decodes every slot; responders use it.  A response
+payload is one ciphertext, so the directory relays it after a size check
+against ``response_payload_size`` and only the requester decodes it.
+
+Every decoder raises ``FrameError`` on bytes that do not parse (including
+text fields that are not UTF-8) and ``InvalidCiphertextError`` on a point
+that is not on the curve.  Error payloads are padded to the exact size of
+a success response payload so a failure is not distinguishable by length.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import bloom, elgamal, protocol
 from .errors import FrameError, InvalidCiphertextError, NotOnCurveError
@@ -125,6 +136,12 @@ class _Cursor:
         (n,) = struct.unpack(">H", self.take(2))
         return self.take(n)
 
+    def text(self) -> str:
+        try:
+            return self.lp().decode()
+        except UnicodeDecodeError as exc:
+            raise FrameError("text field is not UTF-8") from exc
+
     def u8(self) -> int:
         return self.take(1)[0]
 
@@ -161,37 +178,58 @@ def encode_query(query: protocol.QueryMessage) -> bytes:
     return b"".join(parts)
 
 
-def decode_query(payload: bytes) -> protocol.QueryMessage:
+class RawQuery(NamedTuple):
+    """A query as the directory relays it: routing header plus the bytes."""
+
+    account_id: str
+    group: object
+    payload: bytes
+
+
+def _parse_header(payload: bytes):
+    """Header fields plus a cursor at the first slot; no point is decoded.
+
+    Raises FrameError unless the slots exactly fill the rest of the payload.
+    """
     cur = _Cursor(payload)
-    account = cur.lp().decode()
+    account = cur.text()
     curve_id = cur.u8()
     group = CURVES_BY_ID.get(curve_id)
     if group is None:
         raise FrameError(f"bad curve id {curve_id}")
     point_len = group.field_bytes + 1
-    try:
-        pk_point = group.decompress(cur.take(point_len))
-    except NotOnCurveError as exc:
-        raise InvalidCiphertextError(str(exc)) from exc
+    pk_bytes = cur.take(point_len)
     ell = cur.u32()
     k = cur.u16()
     seed = cur.lp()
-    expected = ell * 2 * point_len
-    if len(payload) - cur.off != expected:
+    if len(payload) - cur.off != ell * 2 * point_len:
         raise FrameError("ciphertext count does not match filter length")
+    try:
+        params = bloom.BloomParams(ell, k, seed)
+    except ValueError as exc:
+        raise FrameError(str(exc)) from exc
+    return account, group, pk_bytes, params, cur
+
+
+def parse_query_header(payload: bytes) -> RawQuery:
+    """The routing view of a query payload; no slot is decoded."""
+    account, group, _, _, _ = _parse_header(payload)
+    return RawQuery(account, group, payload)
+
+
+def decode_query(payload: bytes) -> protocol.QueryMessage:
+    account, group, pk_bytes, params, cur = _parse_header(payload)
+    point_len = group.field_bytes + 1
     ciphertexts = []
     try:
-        for _ in range(ell):
+        pk_point = group.decompress(pk_bytes)
+        for _ in range(params.length_ell):
             ephemeral = group.decompress(cur.take(point_len))
             body = group.decompress(cur.take(point_len))
             ciphertexts.append(elgamal.Ciphertext(ephemeral, body))
     except NotOnCurveError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
     cur.done()
-    try:
-        params = bloom.BloomParams(ell, k, seed)
-    except ValueError as exc:
-        raise FrameError(str(exc)) from exc
     return protocol.QueryMessage(
         account, elgamal.PublicKey(group, pk_point), params, tuple(ciphertexts)
     )
@@ -240,7 +278,7 @@ def encode_register(account: str, address: str, transport: str) -> bytes:
 
 def decode_register(payload: bytes) -> Tuple[str, str, str]:
     cur = _Cursor(payload)
-    out = (cur.lp().decode(), cur.lp().decode(), cur.lp().decode())
+    out = (cur.text(), cur.text(), cur.text())
     cur.done()
     return out
 
@@ -251,7 +289,7 @@ def encode_account(account: str) -> bytes:
 
 def decode_account(payload: bytes) -> str:
     cur = _Cursor(payload)
-    account = cur.lp().decode()
+    account = cur.text()
     cur.done()
     return account
 
@@ -291,7 +329,7 @@ def encode_ack(ok: bool, warning: str = "") -> bytes:
 def decode_ack(payload: bytes) -> Tuple[bool, str]:
     cur = _Cursor(payload)
     ok = cur.u8() == 1
-    warning = cur.lp().decode()
+    warning = cur.text()
     cur.done()
     return ok, warning
 

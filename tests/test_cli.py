@@ -1,12 +1,15 @@
 import csv
 import io
+import random
+import socket
 import subprocess
 import sys
 import time
 
 from reuseguard import bench, planner, similarity
-from reuseguard.cli import planner_main
-from reuseguard.netnodes import ResponderStore
+from reuseguard.cli import planner_main, requester_main
+from reuseguard.directory import Directory, ResponderEndpoint
+from reuseguard.netnodes import ResponderStore, make_tcp_responder_transport, serve_directory
 
 CHEAP = similarity.CHEAP_HASH_PARAMS
 
@@ -142,3 +145,23 @@ def test_cli_daemons_end_to_end(tmp_path):
         for proc in procs:
             proc.kill()
             proc.wait()
+
+
+def test_requester_reports_failure_when_no_responder_answers(capsys):
+    with socket.socket() as sock:  # a port with nothing listening
+        sock.bind(("127.0.0.1", 0))
+        silent = "127.0.0.1:%d" % sock.getsockname()[1]
+    directory = Directory(make_tcp_responder_transport(), rng=random.Random(1))
+    directory.register("user@example.com", ResponderEndpoint(silent))
+    dserver = serve_directory(directory, "127.0.0.1:0")
+    try:
+        rc = requester_main(["--directory", dserver.address,
+                             "--account", "user@example.com", "--t-goal", "0.05",
+                             "--password", "hunter2", "--hash-cost", "4",
+                             "--auto-consent"])
+    finally:
+        dserver.shutdown()
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "accepted" not in captured.out
+    assert "answered" in captured.err

@@ -16,6 +16,7 @@ from reuseguard.errors import (
     ConsentRequiredError,
     ConsentTokenError,
     InsufficientRespondersError,
+    InvalidCiphertextError,
     MalformedAddressError,
 )
 from reuseguard.groups import enumerable_group
@@ -404,3 +405,20 @@ def test_replay_from_log_without_snapshot(tmp_path):
     assert d.responder_count(ACCOUNT) == 1
     assert ResponderEndpoint("b:1") in d.flagged
     d.close()
+
+
+def test_fanout_raises_only_when_every_chosen_responder_rejects():
+    def transport(endpoint, query, timeout):
+        if endpoint.address == "down":
+            raise TimeoutError("emulated unreachable responder")
+        raise InvalidCiphertextError("emulated rejection")
+
+    d = Directory(transport, rng=random.Random(21))
+    d.register(ACCOUNT, ResponderEndpoint("no-1"))
+    d.register(ACCOUNT, ResponderEndpoint("no-2"))
+    open_window(d)
+    with pytest.raises(InvalidCiphertextError):
+        d.fanout(make_query()[0], 2)
+    d.register(ACCOUNT, ResponderEndpoint("down"))
+    open_window(d)
+    assert d.fanout(make_query()[0], 3) == []

@@ -1,21 +1,23 @@
 import os
 import random
 import socket
+import socketserver
 import statistics
 import threading
 import time
 
 import pytest
 
-from reuseguard import protocol, similarity, wire
+from reuseguard import planner, protocol, similarity, wire
 from reuseguard.directory import Directory, ResponderEndpoint
-from reuseguard.errors import ConsentRequiredError
-from reuseguard.groups import P192
+from reuseguard.errors import ConsentRequiredError, InvalidCiphertextError, NoResponseError
+from reuseguard.groups import P192, EllipticCurveGroup
 from reuseguard.netnodes import (
     TRUSTED_PROFILE,
     UNTRUSTED_PROFILE,
     DecoyPolicy,
     DirectoryClient,
+    DirectoryServer,
     ResponderStore,
     draw_latency,
     inject_latency,
@@ -24,6 +26,7 @@ from reuseguard.netnodes import (
     requester_set_password,
     serve_directory,
     serve_responder,
+    tcp_request,
 )
 
 CHEAP = similarity.CHEAP_HASH_PARAMS
@@ -334,3 +337,160 @@ def test_inprocess_transport_matches_tcp_semantics():
     assert protocol.decode_result(session, response) is True
     with pytest.raises(Exception):
         transport(ResponderEndpoint("nowhere"), query, 1.0)
+
+
+# -- opaque relay and byte-level failures ----------------------------------------
+
+def _off_curve_payload(query):
+    """The query's payload with its last point replaced by an x off P192."""
+    payload = bytearray(wire.encode_query(query))
+    for x in range(2, 300):
+        rhs = (x * x * x + P192.a * x + P192.b) % P192.p
+        if pow(rhs, (P192.p - 1) // 2, P192.p) != 1:
+            payload[-25:] = bytes([0x02]) + x.to_bytes(24, "big")
+            return bytes(payload)
+    raise AssertionError("no off-curve x found")
+
+
+def _non_utf8_account_payload():
+    query, _ = protocol.build_query(ACCOUNT, "pw", 1, group=P192,
+                                    hash_params=CHEAP)
+    payload = wire.encode_query(query)
+    account_len = int.from_bytes(payload[:2], "big")
+    return wire._lp(b"\xff\xfe") + payload[2 + account_len:]
+
+
+def _closed_port_address():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return "127.0.0.1:%d" % sock.getsockname()[1]
+
+
+def test_responder_answers_non_utf8_account_with_padded_error(responder_server):
+    opcode, body = tcp_request(responder_server.address, wire.OP_QUERY,
+                               _non_utf8_account_payload(), 5.0)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_INVALID_CIPHERTEXT
+    assert len(body) == wire.response_payload_size(P192)
+    # still serving
+    query, session = protocol.build_query(ACCOUNT, "hunter2", 5, group=P192,
+                                          hash_params=CHEAP)
+    response = make_tcp_responder_transport()(
+        ResponderEndpoint(responder_server.address), query, 5.0)
+    assert protocol.decode_result(session, response) is True
+
+
+def test_directory_answers_non_utf8_fields_with_padded_error(small_deployment):
+    dserver, _ = small_deployment
+    bad_register = wire._lp(b"\xff\xfe") + wire._lp(b"h:1") + wire._lp(b"tcp")
+    for opcode, payload in (
+            (wire.OP_QUERY, wire.encode_directory_query(1, _non_utf8_account_payload())),
+            (wire.OP_REGISTER, bad_register),
+            (wire.OP_NEGOTIATE, wire._lp(b"\xff\xfe"))):
+        got_op, body = tcp_request(dserver.address, opcode, payload, 5.0)
+        assert got_op == wire.OP_ERROR
+        assert len(body) == wire.response_payload_size(P192)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(12))
+    assert client.negotiate(ACCOUNT) == 4
+
+
+def test_directory_rejects_off_curve_query_as_invalid_ciphertext(small_deployment):
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(13))
+    client.confirm_consent(client.begin_consent(ACCOUNT))
+    query, _ = protocol.build_query(ACCOUNT, "pw", 2, group=P192,
+                                    hash_params=CHEAP)
+    opcode, body = tcp_request(
+        dserver.address, wire.OP_QUERY,
+        wire.encode_directory_query(2, _off_curve_payload(query)), 5.0)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_INVALID_CIPHERTEXT
+    assert len(body) == wire.response_payload_size(P192)
+
+
+class _UndecodableReplier(socketserver.BaseRequestHandler):
+    """Answers any query with a reply of the right size that is no point."""
+
+    def handle(self):
+        wire.read_frame(self.request.makefile("rb").read)
+        self.request.sendall(wire.encode_frame(
+            wire.OP_RESPONSE, b"\x07" * wire.response_payload_size(P192)))
+
+
+def test_undecodable_reply_of_right_size_is_dropped(responder_server):
+    liar = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _UndecodableReplier)
+    threading.Thread(target=liar.serve_forever, daemon=True).start()
+    directory = Directory(make_tcp_responder_transport(), rng=random.Random(14))
+    directory.register(ACCOUNT, ResponderEndpoint(responder_server.address))
+    directory.register(ACCOUNT, ResponderEndpoint("127.0.0.1:%d" % liar.server_address[1]))
+    dserver = serve_directory(directory, "127.0.0.1:0")
+    try:
+        client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(15))
+        client.confirm_consent(client.begin_consent(ACCOUNT))
+        query, session = protocol.build_query(ACCOUNT, "hunter2", 5, group=P192,
+                                              hash_params=CHEAP)
+        responses = client.query(query, 2)
+        assert len(responses) == 1
+        assert protocol.decode_result(session, responses[0]) is True
+    finally:
+        dserver.shutdown()
+        liar.shutdown()
+        liar.server_close()
+
+
+def test_relay_decompresses_no_point(monkeypatch):
+    reply = b"\x02" + bytes(wire.response_payload_size(P192) - 1)
+    seen = []
+
+    def stub(endpoint, query, timeout):
+        seen.append(query)
+        return reply
+
+    directory = Directory(stub, rng=random.Random(16))
+    for i in range(3):
+        directory.register(ACCOUNT, ResponderEndpoint(f"stub-{i}:1"))
+    directory.confirm_consent(directory.begin_consent(ACCOUNT))
+    query, _ = protocol.build_query(ACCOUNT, "pw", 2, group=P192, hash_params=CHEAP)
+    payload = wire.encode_query(query)
+    calls = []
+    decompress = EllipticCurveGroup.decompress
+    monkeypatch.setattr(EllipticCurveGroup, "decompress",
+                        lambda self, data: calls.append(data) or decompress(self, data))
+    server = DirectoryServer(("127.0.0.1", 0), directory)
+    try:
+        opcode, body = server.dispatch(wire.OP_QUERY, wire.encode_directory_query(3, payload))
+    finally:
+        server.server_close()
+    assert opcode == wire.OP_RESPONSES
+    assert wire.decode_responses(body) == [reply] * 3
+    assert calls == []
+    assert [q.payload for q in seen] == [payload] * 3
+
+
+def test_tcp_transport_relays_raw_bytes(responder_server):
+    transport = make_tcp_responder_transport()
+    query, session = protocol.build_query(ACCOUNT, "hunter2", 5, group=P192,
+                                          hash_params=CHEAP)
+    raw = wire.parse_query_header(wire.encode_query(query))
+    reply = transport(ResponderEndpoint(responder_server.address), raw, 5.0)
+    assert len(reply) == wire.response_payload_size(P192)
+    assert protocol.decode_result(session, wire.decode_response(reply, P192)) is True
+    with pytest.raises(InvalidCiphertextError):
+        transport(ResponderEndpoint(responder_server.address),
+                  wire.parse_query_header(_off_curve_payload(query)), 5.0)
+
+
+def test_flow_fails_closed_when_no_responder_answers():
+    directory = Directory(make_tcp_responder_transport(), rng=random.Random(17))
+    directory.register(ACCOUNT, ResponderEndpoint(_closed_port_address()))
+    dserver = serve_directory(directory, "127.0.0.1:0")
+    try:
+        client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(18))
+        client.confirm_consent(client.begin_consent(ACCOUNT))
+        with pytest.raises(NoResponseError):
+            requester_set_password(client, ACCOUNT, "hunter2", 2.0,
+                                   hash_params=CHEAP,
+                                   model=planner.LatencyModel(0.0, 1.0, 0.0, 0.0),
+                                   rng=random.Random(19))
+    finally:
+        dserver.shutdown()

@@ -264,3 +264,18 @@ def test_session_secret_never_in_query(rng):
     fields = set(vars(query))
     assert fields == {"account_id", "pk", "bloom", "ciphertexts"}
     assert session.keypair.sk.scalar not in (query.pk.point or ())
+
+
+def test_respond_builds_no_fixed_base_table(monkeypatch):
+    from reuseguard import wire
+
+    query, session = build_query(ACCOUNT, "hunter2", 2, group=P192,
+                                 hash_params=CHEAP, rng=random.Random(4))
+    fresh_key = wire.decode_query(wire.encode_query(query))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("respond built a fixed-base table")
+
+    monkeypatch.setattr(elgamal, "FixedBaseTable", no_table)
+    response = respond(fresh_key, make_set(["hunter2"]), random.Random(5))
+    assert decode_result(session, response) is True

@@ -213,3 +213,84 @@ def test_trailing_bytes_rejected():
     payload = wire.encode_account("a@b.com") + b"\x00"
     with pytest.raises(FrameError):
         wire.decode_account(payload)
+
+
+# -- header parse and relay view ------------------------------------------------
+
+def _with_account(payload: bytes, account: bytes) -> bytes:
+    """The same query payload with its account field replaced."""
+    old_len = int.from_bytes(payload[:2], "big")
+    return len(account).to_bytes(2, "big") + account + payload[2 + old_len:]
+
+
+def test_header_parse_reads_routing_fields_only():
+    payload = wire.encode_query(golden_query())
+    raw = wire.parse_query_header(payload)
+    assert raw == wire.RawQuery("a@b.co", P160, payload)
+
+
+def test_header_parse_checks_exact_length():
+    payload = wire.encode_query(golden_query())
+    for bad in (payload[:-1], payload + b"\x00", payload[:10], b""):
+        with pytest.raises(FrameError):
+            wire.parse_query_header(bad)
+
+
+def test_non_utf8_text_is_a_frame_error():
+    bad = b"\xff\xfe"
+    query_payload = _with_account(wire.encode_query(golden_query()), bad)
+    for decode, payload in (
+            (wire.parse_query_header, query_payload),
+            (wire.decode_query, query_payload),
+            (wire.decode_register, wire._lp(bad) + wire._lp(b"h:1") + wire._lp(b"tcp")),
+            (wire.decode_register, wire._lp(b"a@b.co") + wire._lp(b"h:1") + wire._lp(bad)),
+            (wire.decode_account, wire._lp(bad)),
+            (wire.decode_token, wire._lp(bad)),
+            (wire.decode_verdict, wire._lp(bad)),
+            (wire.decode_ack, b"\x01" + wire._lp(bad))):
+        with pytest.raises(FrameError):
+            decode(payload)
+
+
+def _small_query(group, account, ell, k, scalars):
+    pk = elgamal.PublicKey(group, group.exp_generator(scalars[0]))
+    params = bloom.BloomParams(ell, k, bytes(range(16)))
+    slots = tuple(elgamal.encrypt_with_randomness(pk, group.identity, x)
+                  for x in scalars[1:ell + 1])
+    return protocol.QueryMessage(account, pk, params, slots)
+
+
+@st.composite
+def query_payloads(draw):
+    group = draw(st.sampled_from([P160, P192]))
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(1, ell))
+    scalars = draw(st.lists(st.integers(1, group.order - 1),
+                            min_size=ell + 1, max_size=ell + 1))
+    account = draw(st.text(max_size=20))
+    return wire.encode_query(_small_query(group, account, ell, k, scalars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    query_payloads().flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, len(p) - 1), st.integers(0, 255))).map(
+            lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:]),
+    query_payloads().flatmap(lambda p: st.integers(0, len(p)).map(lambda n: p[:n]))))
+def test_header_parse_returns_value_or_frame_error(payload):
+    try:
+        raw = wire.parse_query_header(payload)
+    except FrameError:
+        return
+    assert isinstance(raw, wire.RawQuery)
+    assert raw.payload == payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(query_payloads())
+def test_header_parse_agrees_with_full_decode(payload):
+    raw = wire.parse_query_header(payload)
+    query = wire.decode_query(payload)
+    assert raw.account_id == query.account_id
+    assert raw.group is query.pk.group
