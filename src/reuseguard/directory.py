@@ -376,12 +376,13 @@ class Directory:
         )
         slots = []
         for _ in range(params.length_ell):
-            m = group.random_element(rng)
-            while m == group.identity:
-                m = group.random_element(rng)
-            slots.append(elgamal.encrypt(keypair.pk, m, rng))
+            r = 0
+            while r == 0:  # g^0 is the identity
+                r = rng.randrange(group.order)
+            slots.append((r, rng.randrange(group.order)))
+        ciphertexts = tuple(elgamal.encrypt_powers(keypair.sk, slots))
         account = f"audit-{secrets.token_hex(8)}@invalid"
-        query = protocol.QueryMessage(account, keypair.pk, params, tuple(slots))
+        query = protocol.QueryMessage(account, keypair.pk, params, ciphertexts)
         return query, keypair
 
     def audit_responder(self, endpoint: ResponderEndpoint,

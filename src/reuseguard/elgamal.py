@@ -8,21 +8,18 @@ and applies a single fresh rerandomization at the end, which yields the
 same output distribution as rerandomizing every step at a fraction of the
 group operations.
 
-Precomputed pairs (encryptions of the identity, i.e. Diffie-Hellman
-triples with the public key) let a caller turn plaintexts into ciphertexts
-with at most one group multiplication each.  ``PairPool`` maintains such
-pairs with a background producer thread and a non-blocking ``take``.
+The holder of the secret key u can encrypt without the public key's
+powers: the encryption of g^r under randomness x is (g^x, g^r * U^x) =
+(g^x, g^(u*x + r)).  ``encrypt_powers`` builds a whole query that way, so
+every point is one generator multiplication and the batch is normalized
+with a single field inversion.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
-
-from .groups import FixedBaseTable
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 _SYSTEM_RNG = random.SystemRandom()
 
@@ -45,33 +42,10 @@ class Ciphertext(NamedTuple):
     body: object       # Y = m * U^x
 
 
-class PrecomputedPair(NamedTuple):
-    ephemeral: object
-    unit_body: object  # U^x, i.e. the body of an encryption of the identity
-
-
 @dataclass(frozen=True)
 class PublicKey:
     group: object
     point: object  # U = g^u
-
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def exp_generator(self, z: int):
-        return self.group.exp_generator(z)
-
-    def exp_point(self, z: int):
-        """U^z, via a cached fixed-base table on curves."""
-        group = self.group
-        if not group.is_elliptic:
-            return group.exp(self.point, z)
-        if self.point is None:  # identity key point (u = 0): U^z = identity
-            return None
-        table = self._tables.get("U")
-        if table is None:
-            table = FixedBaseTable(group, self.point)
-            self._tables["U"] = table
-        return table.mul(z)
 
 
 @dataclass(frozen=True)
@@ -101,7 +75,7 @@ def gen(group, rng=None) -> KeyPair:
 def encrypt_with_randomness(pk: PublicKey, m, x: int) -> Ciphertext:
     """Deterministic encryption with caller-supplied ephemeral scalar x."""
     group = pk.group
-    return Ciphertext(pk.exp_generator(x), group.mul(m, pk.exp_point(x)))
+    return Ciphertext(group.exp_generator(x), group.mul(m, group.exp(pk.point, x)))
 
 
 def encrypt(pk: PublicKey, m, rng=None) -> Ciphertext:
@@ -109,6 +83,20 @@ def encrypt(pk: PublicKey, m, rng=None) -> Ciphertext:
         raise ValueError("plaintext is not a group element")
     x = (rng or _SYSTEM_RNG).randrange(pk.group.order)
     return encrypt_with_randomness(pk, m, x)
+
+
+def encrypt_powers(sk: SecretKey, slots: Iterable[Tuple[int, int]]) -> List[Ciphertext]:
+    """Encryptions of g^r with randomness x for each ``(r, x)`` in slots.
+
+    Equal to ``encrypt_with_randomness(pk, g^r, x)`` under the matching
+    public key, computed by the key's holder as (g^x, g^(u*x + r)).
+    """
+    group, u, order = sk.group, sk.scalar, sk.group.order
+    scalars = []
+    for r, x in slots:
+        scalars += (x, (u * x + r) % order)
+    points = group.exp_generator_many(scalars)
+    return [Ciphertext(points[i], points[i + 1]) for i in range(0, len(points), 2)]
 
 
 def validate_ciphertext(pk: PublicKey, c) -> bool:
@@ -135,7 +123,7 @@ def rerandomize(pk: PublicKey, c: Ciphertext, rng=None) -> Ciphertext:
     y = (rng or _SYSTEM_RNG).randrange(pk.group.order)
     group = pk.group
     return Ciphertext(
-        group.mul(c.ephemeral, pk.exp_generator(y)),
+        group.mul(c.ephemeral, group.exp_generator(y)),
         group.mul(c.body, group.exp(pk.point, y)),
     )
 
@@ -173,79 +161,3 @@ def random_element(group, rng=None):
     """Uniform group element (the $(G) sampler)."""
     return group.random_element(rng)
 
-
-def precompute_pairs(pk: PublicKey, count: int, rng=None) -> List[PrecomputedPair]:
-    """count Diffie-Hellman triples (U, g^x, U^x): encryptions of identity."""
-    rng = rng or _SYSTEM_RNG
-    out = []
-    for _ in range(count):
-        x = rng.randrange(pk.group.order)
-        out.append(PrecomputedPair(pk.exp_generator(x), pk.exp_point(x)))
-    return out
-
-
-def encrypt_with_pair(pk: PublicKey, pair: PrecomputedPair, m) -> Ciphertext:
-    """Encryption of m using one precomputed pair: one multiplication."""
-    if m == pk.group.identity:
-        return Ciphertext(pair.ephemeral, pair.unit_body)
-    return Ciphertext(pair.ephemeral, pk.group.mul(m, pair.unit_body))
-
-
-class PairPool:
-    """Bounded pool of precomputed pairs for one precomputed key pair.
-
-    Mirrors the off-critical-path precomputation a requester performs
-    while the user is still typing: the key pair itself plus identity
-    encryptions for every filter slot.  One background producer refills
-    the pool; any number of consumers may call ``take``, which never
-    blocks and returns None when the pool is empty (callers then encrypt
-    inline).
-    """
-
-    def __init__(self, keypair: KeyPair, target: int, rng=None):
-        self.keypair = keypair
-        self.pk = keypair.pk
-        self.target = target
-        self._rng = rng or _SYSTEM_RNG
-        self._pairs: deque = deque()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def fill(self) -> None:
-        """Produce synchronously until the pool holds ``target`` pairs."""
-        while len(self._pairs) < self.target:
-            self._pairs.extend(precompute_pairs(self.pk, 1, self._rng))
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._produce, daemon=True)
-        self._thread.start()
-
-    def _produce(self) -> None:
-        while not self._stop.is_set():
-            if len(self._pairs) >= self.target:
-                self._stop.wait(0.005)
-                continue
-            self._pairs.extend(precompute_pairs(self.pk, 1, self._rng))
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def take(self) -> Optional[PrecomputedPair]:
-        try:
-            return self._pairs.popleft()
-        except IndexError:
-            return None
-
-    def encrypt(self, m, rng=None) -> Ciphertext:
-        pair = self.take()
-        if pair is None:
-            return encrypt(self.pk, m, rng or self._rng)
-        return encrypt_with_pair(self.pk, pair, m)

@@ -203,46 +203,58 @@ def _batch_to_affine(points, p) -> list:
 class FixedBaseTable:
     """Comb table for fast scalar multiplication of one fixed base point.
 
-    Stores d * (16^i) * B in affine form for every window position i and
-    digit d, so a multiplication costs one mixed addition per 4-bit window.
+    Stores d * (2^(bits*i)) * B in affine form for every window position i
+    and digit d < 2^bits, so a multiplication costs one mixed addition per
+    ``bits``-bit window.
     """
 
-    __slots__ = ("group", "rows")
+    __slots__ = ("group", "bits", "rows")
 
-    def __init__(self, group: "EllipticCurveGroup", base: Point):
+    def __init__(self, group: "EllipticCurveGroup", base: Point, bits: int = 4):
         p, a = group.p, group.a
-        windows = (group.order.bit_length() + 3) // 4
-        jac_rows = []
-        row_base = (base[0], base[1], 1)
+        size = 1 << bits
+        windows = -(-group.order.bit_length() // bits)
+        jac_points = []
+        row_base = base
         for _ in range(windows):
-            row = [_JAC_INFINITY]
-            for _ in range(15):
-                row.append(_jac_add(row[-1], row_base, p, a))
-            jac_rows.append(row)
-            row_base = row[-1]
-            row_base = _jac_add(row_base, jac_rows[-1][1], p, a)
-        flat = _batch_to_affine([pt for row in jac_rows for pt in row], p)
+            acc = _JAC_INFINITY
+            jac_points.append(acc)
+            for _ in range(size - 1):
+                acc = _jac_add_affine(acc, row_base, p, a)
+                jac_points.append(acc)
+            row_base = _jac_to_affine(_jac_add_affine(acc, row_base, p, a), p)
+        flat = _batch_to_affine(jac_points, p)
         self.group = group
-        self.rows = [flat[i * 16:(i + 1) * 16] for i in range(windows)]
+        self.bits = bits
+        self.rows = [flat[i * size:(i + 1) * size] for i in range(windows)]
 
-    def mul(self, k: int) -> Point:
+    def mul_jacobian(self, k: int):
+        """k * B as an unnormalized Jacobian point."""
         p, a = self.group.p, self.group.a
+        bits, mask = self.bits, (1 << self.bits) - 1
         k %= self.group.order
         acc = _JAC_INFINITY
-        i = 0
-        while k:
-            d = k & 15
+        for row in self.rows:
+            if not k:
+                break
+            d = k & mask
             if d:
-                acc = _jac_add_affine(acc, self.rows[i][d], p, a)
-            k >>= 4
-            i += 1
-        return _jac_to_affine(acc, p)
+                acc = _jac_add_affine(acc, row[d], p, a)
+            k >>= bits
+        return acc
+
+    def mul(self, k: int) -> Point:
+        return _jac_to_affine(self.mul_jacobian(k), self.group.p)
+
+
+# Smallest batch that exp_generator_many runs through the 8-bit comb.  The
+# 8-bit table costs 255 additions per window to build and saves about one
+# addition per window on every multiply, so a batch this large repays it.
+COMB8_MIN_BATCH = 256
 
 
 class EllipticCurveGroup:
     """Short-Weierstrass curve y^2 = x^3 + ax + b over F_p, cofactor 1."""
-
-    is_elliptic = True
 
     def __init__(self, name, p, a, b, gx, gy, order):
         self.name = name
@@ -258,7 +270,7 @@ class EllipticCurveGroup:
             raise UnsupportedGroupError(f"{name}: field or order not prime")
         if (gy * gy - (gx * gx * gx + a * gx + b)) % p != 0:
             raise UnsupportedGroupError(f"{name}: generator not on curve")
-        self._gen_table: Optional[FixedBaseTable] = None
+        self._gen_tables: dict = {}  # comb width in bits -> FixedBaseTable
 
     def __repr__(self):
         return f"EllipticCurveGroup({self.name})"
@@ -320,16 +332,23 @@ class EllipticCurveGroup:
             acc = _jac_add_affine(acc, e, p, a)
         return _jac_to_affine(acc, p)
 
-    def generator_table(self) -> FixedBaseTable:
-        if self._gen_table is None:
-            self._gen_table = FixedBaseTable(self, self.generator)
-        return self._gen_table
+    def generator_table(self, bits: int = 4) -> FixedBaseTable:
+        """The generator's comb, built once per width per process."""
+        table = self._gen_tables.get(bits)
+        if table is None:
+            table = self._gen_tables[bits] = FixedBaseTable(self, self.generator, bits)
+        return table
 
     def exp_generator(self, z: int) -> Point:
         return self.generator_table().mul(z)
 
-    def fixed_base(self, base: Point) -> FixedBaseTable:
-        return FixedBaseTable(self, base)
+    def exp_generator_many(self, scalars: Sequence[int]) -> list:
+        """``[exp_generator(z) for z in scalars]`` with one field inversion.
+
+        Batches of at least ``COMB8_MIN_BATCH`` scalars use the 8-bit comb.
+        """
+        table = self.generator_table(8 if len(scalars) >= COMB8_MIN_BATCH else 4)
+        return _batch_to_affine([table.mul_jacobian(z) for z in scalars], self.p)
 
     def random_scalar(self, rng=None) -> int:
         return (rng or _SYSTEM_RNG).randrange(self.order)
@@ -371,8 +390,6 @@ class EnumerableGroup:
     Small enough orders allow exhaustive enumeration in tests.
     """
 
-    is_elliptic = False
-
     def __init__(self, order: int):
         if not _is_prime(order):
             raise UnsupportedGroupError(f"test group order {order} is not prime")
@@ -400,6 +417,9 @@ class EnumerableGroup:
 
     def exp_generator(self, z: int) -> int:
         return z % self.order
+
+    def exp_generator_many(self, scalars: Sequence[int]) -> list:
+        return [z % self.order for z in scalars]
 
     def product(self, elements: Sequence[int]) -> int:
         return sum(elements) % self.order

@@ -135,10 +135,10 @@ class ServiceStats:
 class _ResponderHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: ResponderServer = self.server  # type: ignore[assignment]
-        reader = self.request.makefile("rb")
         group = P192
         try:
-            opcode, payload = wire.read_frame(reader.read)
+            with self.request.makefile("rb") as reader:
+                opcode, payload = wire.read_frame(reader.read)
         except FrameError:
             server.stats.errors_sent += 1
             self._send(wire.OP_ERROR, wire.encode_error(
@@ -151,8 +151,9 @@ class _ResponderHandler(socketserver.BaseRequestHandler):
             return
         server.stats.queries_received += 1
         try:
+            # Pad any error to the query's own curve, known from the header.
+            group = wire.parse_query_header(payload).group
             query = wire.decode_query(payload)
-            group = query.pk.group
             similar = server.store.get(query.account_id) or similarity.SimilarSet(
                 query.account_id, (), 0, 0)
             response = protocol.respond(query, similar, server.rng)
@@ -218,8 +219,8 @@ def tcp_request(address: str, opcode: int, payload: bytes, timeout: float,
             with socket.create_connection((host, port), timeout=timeout) as sock:
                 sock.settimeout(timeout)
                 sock.sendall(wire.encode_frame(opcode, payload))
-                reader = sock.makefile("rb")
-                return wire.read_frame(reader.read)
+                with sock.makefile("rb") as reader:
+                    return wire.read_frame(reader.read)
         except socket.timeout as exc:
             raise TimeoutError(str(exc)) from exc
         except (OSError, FrameError) as exc:
@@ -298,9 +299,9 @@ def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
 class _DirectoryHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: DirectoryServer = self.server  # type: ignore[assignment]
-        reader = self.request.makefile("rb")
         try:
-            opcode, payload = wire.read_frame(reader.read)
+            with self.request.makefile("rb") as reader:
+                opcode, payload = wire.read_frame(reader.read)
             out_op, out_payload = server.dispatch(opcode, payload)
         except FrameError:
             out_op = wire.OP_ERROR
@@ -351,6 +352,8 @@ class DirectoryServer(socketserver.ThreadingTCPServer):
                 rho, query_payload = wire.decode_directory_query(payload)
                 raw = wire.parse_query_header(query_payload)
                 pad = wire.response_payload_size(raw.group)
+                if rho < 1:
+                    return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
                 return wire.OP_RESPONSES, wire.encode_responses(
                     directory.fanout(raw, rho))
             if opcode == wire.OP_AUDIT:

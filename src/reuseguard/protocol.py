@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from . import bloom, elgamal, similarity
 from .errors import InvalidCiphertextError
@@ -53,19 +53,18 @@ class RequesterSession:
     requester_index_set: FrozenSet[int]
 
 
-def build_query(account_id: str, password: str, n_target: int,
-                pair_pool: Optional[elgamal.PairPool] = None, *,
+def build_query(account_id: str, password: str, n_target: int, *,
                 group=DEFAULT_GROUP, k: int = bloom.DEFAULT_NUM_HASHES,
                 hash_params: similarity.SlowHashParams = similarity.DEFAULT_HASH_PARAMS,
                 rng=None) -> Tuple[QueryMessage, RequesterSession]:
     """Build the query for a candidate password.
 
     The filter is sized for ``n_target`` entries per responder under ``k``
-    hash functions with a fresh seed.  Slot j carries an encryption of a
-    fresh random group element when j is one of the candidate's indices
-    and an encryption of the identity otherwise.  When a precomputed pair
-    pool is supplied, its precomputed key pair is used and each slot costs
-    at most one group multiplication.
+    hash functions with a fresh seed, under a fresh key pair.  Slot j
+    carries an encryption of a fresh random element g^r when j is one of
+    the candidate's indices and of the identity (r = 0) otherwise.  Each
+    slot draws r (on the candidate's indices) and then its ephemeral x;
+    all slots are encrypted in one ``elgamal.encrypt_powers`` batch.
     """
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
@@ -73,21 +72,16 @@ def build_query(account_id: str, password: str, n_target: int,
     params = bloom.BloomParams(
         bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
     )
-    if pair_pool is not None:
-        keypair = pair_pool.keypair
-    else:
-        keypair = elgamal.gen(group, rng)
+    keypair = elgamal.gen(group, rng)
     item = similarity.bloom_item(password, account_id, hash_params)
     j_r = bloom.indices(params, item)
+    order = group.order
     slots = []
-    identity = keypair.group.identity
     for j in range(params.length_ell):
-        m = keypair.group.random_element(rng) if j in j_r else identity
-        if pair_pool is not None:
-            slots.append(pair_pool.encrypt(m, rng))
-        else:
-            slots.append(elgamal.encrypt(keypair.pk, m, rng))
-    query = QueryMessage(account_id, keypair.pk, params, tuple(slots))
+        r = rng.randrange(order) if j in j_r else 0
+        slots.append((r, rng.randrange(order)))
+    ciphertexts = tuple(elgamal.encrypt_powers(keypair.sk, slots))
+    query = QueryMessage(account_id, keypair.pk, params, ciphertexts)
     return query, RequesterSession(keypair, params, j_r)
 
 

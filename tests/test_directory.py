@@ -5,7 +5,7 @@ import threading
 import pytest
 from scipy import stats
 
-from reuseguard import elgamal, protocol, similarity
+from reuseguard import elgamal, groups, protocol, similarity
 from reuseguard.directory import (
     AuditVerdict,
     Directory,
@@ -296,6 +296,19 @@ def test_audit_query_slots_all_non_identity():
     query, keypair = d.build_audit_query(random.Random(3))
     for c in query.ciphertexts:
         assert elgamal.decrypt(keypair.sk, c) != 0
+
+
+def test_warm_audit_query_builds_no_fixed_base_table(monkeypatch):
+    d = Directory(lambda *a: None)
+    d.build_audit_query(random.Random(4))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_audit_query built a fixed-base table")
+
+    monkeypatch.setattr(groups, "FixedBaseTable", no_table)
+    query, keypair = d.build_audit_query(random.Random(5))
+    for c in query.ciphertexts:
+        assert elgamal.decrypt(keypair.sk, c) is not None  # never the identity
 
 
 def test_audit_flags_rigged_responder_and_excludes_it():

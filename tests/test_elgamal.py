@@ -1,6 +1,4 @@
 import random
-import threading
-import time
 
 import pytest
 from scipy import stats
@@ -8,15 +6,12 @@ from scipy import stats
 from reuseguard.elgamal import (
     BOTTOM,
     Ciphertext,
-    PairPool,
     decrypt,
     encrypt,
-    encrypt_with_pair,
     encrypt_with_randomness,
     gen,
     hexp,
     hmul,
-    precompute_pairs,
     random_element,
     rerandomize,
     validate_ciphertext,
@@ -216,68 +211,3 @@ def test_component_marginals_identical_across_plaintexts(tg101, rng):
         assert sorted(c.ephemeral for c in outs1) == sorted(c.ephemeral for c in outs2)
         assert sorted(c.body for c in outs1) == sorted(c.body for c in outs2)
 
-
-def test_precomputed_pairs_encrypt_identity(rng):
-    kp = gen(P192, rng)
-    pairs = precompute_pairs(kp.pk, 8, rng)
-    assert len(pairs) == 8
-    for pair in pairs:
-        c = Ciphertext(pair.ephemeral, pair.unit_body)
-        assert validate_ciphertext(kp.pk, c)
-        assert decrypt(kp.sk, c) == P192.identity
-
-
-def test_encrypt_with_pair_roundtrip(rng):
-    kp = gen(P192, rng)
-    (pair,) = precompute_pairs(kp.pk, 1, rng)
-    m = P192.random_element(rng)
-    assert decrypt(kp.sk, encrypt_with_pair(kp.pk, pair, m)) == m
-    (pair2,) = precompute_pairs(kp.pk, 1, rng)
-    assert decrypt(kp.sk, encrypt_with_pair(kp.pk, pair2, P192.identity)) == P192.identity
-
-
-def test_pair_pool_producer_and_fallback(rng):
-    kp = gen(P192, rng)
-    pool = PairPool(kp, target=12, rng=rng)
-    pool.start()
-    deadline = time.monotonic() + 10
-    while len(pool) < 12 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(pool) >= 12
-    pool.stop()
-
-    taken = []
-    def consume():
-        for _ in range(4):
-            pair = pool.take()
-            if pair is not None:
-                taken.append(pair)
-    threads = [threading.Thread(target=consume) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(taken) == len(set(taken)) == 12
-
-    # Empty pool: encrypt falls back to inline encryption.
-    m = P192.random_element(rng)
-    assert pool.take() is None
-    assert decrypt(kp.sk, pool.encrypt(m, rng)) == m
-
-
-def test_pool_speeds_up_bulk_encryption(rng):
-    kp = gen(P192, rng)
-    ms = [P192.random_element(rng) for _ in range(40)]
-
-    start = time.perf_counter()
-    for m in ms:
-        encrypt(kp.pk, m, rng)
-    inline = time.perf_counter() - start
-
-    pool = PairPool(kp, target=len(ms), rng=rng)
-    pool.fill()
-    start = time.perf_counter()
-    for m in ms:
-        pool.encrypt(m, rng)
-    pooled = time.perf_counter() - start
-    assert pooled < inline

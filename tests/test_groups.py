@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from reuseguard.errors import NotOnCurveError, UnsupportedGroupError
 from reuseguard.groups import (
+    COMB8_MIN_BATCH,
     CURVES,
     P160,
     P192,
@@ -53,6 +54,27 @@ def test_fixed_base_table_matches_plain_exp(curve):
         assert table.mul(k) == curve.exp(curve.generator, k)
     assert table.mul(0) is None
     assert curve.exp_generator(3) == curve.exp(curve.generator, 3)
+
+
+def _edge_scalars(order):
+    return [0, 1, order - 1, 256, 512, 256 ** 3, order - order % 256]
+
+
+@pytest.mark.parametrize("size", [0, 1, COMB8_MIN_BATCH - 1, COMB8_MIN_BATCH, 1000])
+@pytest.mark.parametrize("group", ALL_CURVES + [enumerable_group(101)],
+                         ids=lambda g: g.name)
+def test_exp_generator_many_matches_exp_generator(group, size):
+    rng = random.Random(size)
+    scalars = (_edge_scalars(group.order) + [rng.randrange(group.order)
+                                             for _ in range(size)])[:size]
+    assert group.exp_generator_many(scalars) == [group.exp_generator(z) for z in scalars]
+
+
+def test_exp_generator_many_picks_comb_width_by_batch_size(monkeypatch):
+    for size, bits in ((COMB8_MIN_BATCH - 1, 4), (COMB8_MIN_BATCH, 8)):
+        monkeypatch.setattr(P192, "_gen_tables", {})  # a cold curve
+        P192.exp_generator_many([1] * size)
+        assert [t.bits for t in P192._gen_tables.values()] == [bits]
 
 
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)

@@ -11,7 +11,7 @@ import pytest
 from reuseguard import planner, protocol, similarity, wire
 from reuseguard.directory import Directory, ResponderEndpoint
 from reuseguard.errors import ConsentRequiredError, InvalidCiphertextError, NoResponseError
-from reuseguard.groups import P192, EllipticCurveGroup
+from reuseguard.groups import P192, P256, EllipticCurveGroup
 from reuseguard.netnodes import (
     TRUSTED_PROFILE,
     UNTRUSTED_PROFILE,
@@ -97,6 +97,7 @@ def responder_server():
     server = serve_responder(store, "127.0.0.1:0")
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def test_responder_answers_honest_query(responder_server):
@@ -245,9 +246,9 @@ def small_deployment():
         directory.register(ACCOUNT, ResponderEndpoint(server.address))
     dserver = serve_directory(directory, "127.0.0.1:0")
     yield dserver, servers
-    dserver.shutdown()
-    for server in servers:
+    for server in [dserver] + servers:
         server.shutdown()
+        server.server_close()
 
 
 def test_set_password_rejects_reuse_and_accepts_fresh(small_deployment):
@@ -342,12 +343,14 @@ def test_inprocess_transport_matches_tcp_semantics():
 # -- opaque relay and byte-level failures ----------------------------------------
 
 def _off_curve_payload(query):
-    """The query's payload with its last point replaced by an x off P192."""
+    """The query's payload with its last point replaced by an x off its curve."""
+    group = query.pk.group
     payload = bytearray(wire.encode_query(query))
     for x in range(2, 300):
-        rhs = (x * x * x + P192.a * x + P192.b) % P192.p
-        if pow(rhs, (P192.p - 1) // 2, P192.p) != 1:
-            payload[-25:] = bytes([0x02]) + x.to_bytes(24, "big")
+        rhs = (x * x * x + group.a * x + group.b) % group.p
+        if pow(rhs, (group.p - 1) // 2, group.p) != 1:
+            payload[-(group.field_bytes + 1):] = (
+                bytes([0x02]) + x.to_bytes(group.field_bytes, "big"))
             return bytes(payload)
     raise AssertionError("no off-curve x found")
 
@@ -406,6 +409,30 @@ def test_directory_rejects_off_curve_query_as_invalid_ciphertext(small_deploymen
     assert opcode == wire.OP_ERROR
     assert wire.decode_error(body) == wire.ERR_INVALID_CIPHERTEXT
     assert len(body) == wire.response_payload_size(P192)
+
+
+def test_responder_pads_error_to_the_query_curve(responder_server):
+    query, _ = protocol.build_query(ACCOUNT, "pw", 1, group=P256,
+                                    hash_params=CHEAP)
+    opcode, body = tcp_request(responder_server.address, wire.OP_QUERY,
+                               _off_curve_payload(query), 5.0)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_INVALID_CIPHERTEXT
+    assert len(body) == wire.response_payload_size(P256)
+
+
+def test_directory_rejects_rho_zero_as_malformed(small_deployment):
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(14))
+    client.confirm_consent(client.begin_consent(ACCOUNT))
+    query, _ = protocol.build_query(ACCOUNT, "pw", 1, group=P256,
+                                    hash_params=CHEAP)
+    opcode, body = tcp_request(
+        dserver.address, wire.OP_QUERY,
+        wire.encode_directory_query(0, wire.encode_query(query)), 5.0)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_MALFORMED
+    assert len(body) == wire.response_payload_size(P256)
 
 
 class _UndecodableReplier(socketserver.BaseRequestHandler):

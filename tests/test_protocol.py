@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from reuseguard import bloom, elgamal, protocol, similarity
+from reuseguard import bloom, elgamal, groups, protocol, similarity
 from reuseguard.errors import InvalidCiphertextError
-from reuseguard.groups import P192
+from reuseguard.groups import P192, P256, enumerable_group
 from reuseguard.protocol import (
     QueryMessage,
     blinded_complement_product,
@@ -55,17 +55,41 @@ def test_fresh_key_and_ciphertexts_each_run(rng, tg101):
     assert q1.bloom.hash_family_seed != q2.bloom.hash_family_seed
 
 
-def test_build_query_uses_precomputed_pool(rng):
-    keypair = elgamal.gen(P192, rng)
-    ell = bloom.length_for(2, 20)
-    pool = elgamal.PairPool(keypair, target=ell, rng=rng)
-    pool.fill()
-    query, session = build_query(ACCOUNT, "pw", 2, pool, hash_params=CHEAP,
-                                 rng=rng)
-    assert session.keypair is keypair
-    assert len(pool) == 0
-    assert all(elgamal.validate_ciphertext(keypair.pk, c)
-               for c in query.ciphertexts)
+def _per_slot_reference_query(account, password, n_target, group, rng):
+    """The query as one ``elgamal.encrypt`` per slot, in build_query's draw order."""
+    k = bloom.DEFAULT_NUM_HASHES
+    params = bloom.BloomParams(bloom.length_for(n_target, k), k,
+                               rng.randbytes(bloom.SEED_BYTES))
+    keypair = elgamal.gen(group, rng)
+    j_r = bloom.indices(params, similarity.bloom_item(password, account, CHEAP))
+    slots = []
+    for j in range(params.length_ell):
+        m = group.random_element(rng) if j in j_r else group.identity
+        slots.append(elgamal.encrypt(keypair.pk, m, rng))
+    return QueryMessage(account, keypair.pk, params, tuple(slots))
+
+
+@pytest.mark.parametrize("group", [P192, P256, enumerable_group(101)],
+                         ids=lambda g: g.name)
+def test_build_query_equals_per_slot_encryption(group):
+    # n = 4 gives 232 scalars (4-bit comb), n = 16 gives 924 (8-bit comb).
+    for seed, n_target in ((1, 4), (2, 16)):
+        query, _ = build_query(ACCOUNT, "hunter2", n_target, group=group,
+                               hash_params=CHEAP, rng=random.Random(seed))
+        assert query == _per_slot_reference_query(
+            ACCOUNT, "hunter2", n_target, group, random.Random(seed))
+
+
+def test_warm_build_query_builds_no_fixed_base_table(monkeypatch):
+    build_query(ACCOUNT, "pw", 16, group=P192, hash_params=CHEAP)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_query built a fixed-base table")
+
+    monkeypatch.setattr(groups, "FixedBaseTable", no_table)
+    query, session = build_query(ACCOUNT, "pw", 16, group=P192,
+                                 hash_params=CHEAP)
+    assert len(query.ciphertexts) == session.bloom.length_ell
 
 
 def test_member_always_detected(rng, tg101):
@@ -276,6 +300,6 @@ def test_respond_builds_no_fixed_base_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("respond built a fixed-base table")
 
-    monkeypatch.setattr(elgamal, "FixedBaseTable", no_table)
+    monkeypatch.setattr(groups, "FixedBaseTable", no_table)
     response = respond(fresh_key, make_set(["hunter2"]), random.Random(5))
     assert decode_result(session, response) is True
