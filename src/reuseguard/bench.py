@@ -1,12 +1,12 @@
 """Desk-scale benchmark harness for the protocol and its deployments.
 
-Spins up in-process responders behind a directory configured for serial
-collection (so per-request wall clock is recorded without scheduling
-effects), then times each phase of the protocol separately: query build
-(including encoding), responder-side processing (decode, respond,
-encode), requester-side decode, and the full round trip through the
-directory.  Also reports the encoded query size and the rate of
-responses that arrive within a qualifying threshold.
+Spins up in-process responders behind a directory, which queries them
+in parallel as it does in service, then times each phase of the protocol
+separately: query build (including encoding), responder-side processing
+(``netnodes.answer_query``: decode, respond, encode), requester-side
+decode, and the full round trip through the directory.  Also reports the
+encoded query size and the rate of responses that arrive within a
+qualifying threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import bloom, protocol, similarity, wire
 from .directory import Directory, ResponderEndpoint
 from .groups import CURVES
-from .netnodes import LatencyProfile, ResponderStore, make_inprocess_responder_transport
+from .netnodes import (
+    LatencyProfile,
+    ResponderStore,
+    answer_query,
+    make_inprocess_responder_transport,
+)
 
 CSV_FIELDS = ("rho", "n", "curve", "phase", "time_s", "msg_bytes")
 
@@ -69,10 +74,9 @@ def bench_run(scenario: BenchScenario) -> List[BenchRecord]:
     max_rho = max(scenario.rho_values)
     for n in scenario.n_values:
         stores = _build_stores(scenario, n, max_rho)
-        transport = make_inprocess_responder_transport(
-            stores, scenario.profile, wire_roundtrip=True)
+        transport = make_inprocess_responder_transport(stores, scenario.profile)
         directory = Directory(
-            transport, window_seconds=86400.0, max_workers=1,
+            transport, window_seconds=86400.0,
             per_responder_timeout=max(scenario.qualifying_threshold_s * 4, 30.0))
         for address in stores:
             directory.register(scenario.account, ResponderEndpoint(address))
@@ -95,10 +99,7 @@ def bench_run(scenario: BenchScenario) -> List[BenchRecord]:
                                            "query_build", t_build, msg_bytes))
 
                 t0 = time.perf_counter()
-                served = wire.decode_query(payload)
-                similar = first_store.get(served.account_id)
-                response = protocol.respond(served, similar)
-                response_bytes = wire.encode_response(response, group)
+                _, response_bytes = answer_query(first_store, payload)
                 t_respond = time.perf_counter() - t0
                 records.append(BenchRecord(rho, n, scenario.curve, "respond",
                                            t_respond, len(response_bytes)))

@@ -51,6 +51,7 @@ _33MAIL_SUFFIX = ".33mail.com"
 DEFAULT_WINDOW_SECONDS = 60.0
 DEFAULT_TOKEN_TTL_SECONDS = 600.0
 TIMEOUT_PROFILES = {"trusted": 2.0, "untrusted": 8.0}
+MAX_WORKERS = 8  # responders queried at once by one fan-out
 
 _AUDIT_FILTER_LENGTH = 16
 _AUDIT_NUM_HASHES = 2
@@ -108,7 +109,6 @@ class ConsentState:
     account: str
     expires_at: float
     window: float
-    used: bool = False
 
 
 @dataclass
@@ -144,9 +144,10 @@ class Directory:
     ``transport`` delivers one query to one endpoint within a timeout and
     returns the reply (raising ``InvalidCiphertextError`` when the
     responder rejected the query, ``TimeoutError`` or any other exception
-    on other failures).  State mutations are appended to a JSON-lines
-    log under ``state_dir`` when given, with a snapshot written on
-    ``close`` and replayed on startup.
+    on other failures).  Registry and flag changes are appended to a
+    JSON-lines log under ``state_dir`` when given, with a snapshot
+    swapped in on ``close``; both are replayed on startup, dropping a
+    torn last log line.  Queries are not logged.
     """
 
     def __init__(self, transport: Optional[Transport] = None, *,
@@ -156,7 +157,6 @@ class Directory:
                  early_return_fraction: Optional[float] = None,
                  state_dir: Optional[str] = None,
                  audit_group=P192,
-                 max_workers: int = 8,
                  clock: Callable[[], float] = time.time,
                  rng: Optional[random.Random] = None):
         self.transport = transport
@@ -165,7 +165,6 @@ class Directory:
         self.per_responder_timeout = per_responder_timeout
         self.early_return_fraction = early_return_fraction
         self.audit_group = audit_group
-        self.max_workers = max_workers
         self.clock = clock
         self._rng = rng or random.SystemRandom()
         self._lock = threading.RLock()
@@ -222,30 +221,44 @@ class Directory:
         """Issue a single-use token the account owner must redeem."""
         canonical_id = canonicalize(canonical_id)
         with self._lock:
+            now = self.clock()
+            self._drop_expired(now)
             token = secrets.token_hex(16)
             self._tokens[token] = ConsentState(
-                token, canonical_id, self.clock() + self.token_ttl,
-                self.window_seconds,
+                token, canonical_id, now + self.token_ttl, self.window_seconds,
             )
             return token
 
     def confirm_consent(self, token: str) -> float:
         """Redeem a token, opening a query window; returns its duration."""
         with self._lock:
-            state = self._tokens.get(token)
+            state = self._tokens.pop(token, None)  # single use
             now = self.clock()
             if state is None:
-                raise ConsentTokenError("unknown token")
-            if state.used:
-                raise ConsentTokenError("token already used")
+                raise ConsentTokenError("unknown or already used token")
             if now >= state.expires_at:
                 raise ConsentTokenError("token expired")
-            state.used = True
             window_id = secrets.token_hex(8)
+            # Re-inserted, not updated, so windows stay in expiry order.
+            self._windows.pop(state.account, None)
             self._windows[state.account] = _Window(
                 state.account, window_id, now + state.window
             )
             return state.window
+
+    def _drop_expired(self, now: float) -> None:
+        """Forget expired tokens and windows.
+
+        Both tables are kept in insertion order, which is expiry order
+        because every entry of a table gets the same lifetime; so the scan
+        stops at the first live entry.
+        """
+        for table in (self._tokens, self._windows):
+            while table:
+                key, entry = next(iter(table.items()))
+                if now < entry.expires_at:
+                    break
+                del table[key]
 
     def _open_window(self, account: str) -> _Window:
         window = self._windows.get(account)
@@ -254,14 +267,6 @@ class Directory:
                 f"no open consent window for {account!r}; query dropped"
             )
         return window
-
-    def consent_window_open(self, account: str) -> bool:
-        try:
-            with self._lock:
-                self._open_window(account)
-            return True
-        except ConsentRequiredError:
-            return False
 
     # -- fan-out ----------------------------------------------------------
 
@@ -311,32 +316,18 @@ class Directory:
         if rejected and rejected == len(plan.chosen):
             raise InvalidCiphertextError("every chosen responder rejected the query")
         self._rng.shuffle(responses)
-        self._log({"op": "fanout", "account": account,
-                   "rho": rho, "collected": len(responses)})
         return responses
 
     def _collect(self, endpoints, query) -> Tuple[list, int]:
-        """Replies that arrived in time, and how many responders rejected."""
+        """At most ``need`` replies that arrived in time, and how many
+        responders rejected the query."""
         need = len(endpoints)
         if self.early_return_fraction is not None:
             need = max(1, math.ceil(self.early_return_fraction * len(endpoints) - 1e-9))
         timeout = self.per_responder_timeout
         out = []
         rejected = 0
-        if self.max_workers <= 1:
-            # Serial mode: used by the benchmark harness to record
-            # per-request wall clock without scheduling effects.
-            for ep in endpoints:
-                try:
-                    out.append(self.transport(ep, query, timeout))
-                except InvalidCiphertextError:
-                    rejected += 1
-                except Exception:
-                    continue
-                if len(out) >= need:
-                    break
-            return out, rejected
-        pool = ThreadPoolExecutor(max_workers=min(self.max_workers, len(endpoints)))
+        pool = ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(endpoints)))
         try:
             pending = {pool.submit(self.transport, ep, query, timeout)
                        for ep in endpoints}
@@ -357,7 +348,7 @@ class Directory:
         finally:
             # Do not wait out stragglers: early return is the whole point.
             pool.shutdown(wait=False, cancel_futures=True)
-        return out, rejected
+        return out[:need], rejected
 
     # -- audit ------------------------------------------------------------
 
@@ -435,8 +426,12 @@ class Directory:
         if self._state_dir is None:
             return
         snap_path = os.path.join(self._state_dir, "snapshot.json")
-        with open(snap_path, "w") as fh:
+        # A crash leaves either the old snapshot or the new one, never half.
+        with open(snap_path + ".tmp", "w") as fh:
             json.dump(self._snapshot_payload(), fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(snap_path + ".tmp", snap_path)
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None
@@ -457,10 +452,15 @@ class Directory:
                 self._flagged.add(ResponderEndpoint(address, transport))
         log_path = os.path.join(self._state_dir, "events.jsonl")
         if os.path.exists(log_path):
-            with open(log_path) as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
+            with open(log_path, "rb+") as fh:
+                data = fh.read()
+                # An event counts once its newline is on disk.  Cut a torn
+                # last line, so the next event does not land on its tail.
+                complete = data.rfind(b"\n") + 1
+                if complete < len(data):
+                    fh.truncate(complete)
+            for line in data[:complete].splitlines():
+                if line.strip():
                     self._replay(json.loads(line))
 
     def _replay(self, event: dict) -> None:

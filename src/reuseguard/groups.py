@@ -263,7 +263,6 @@ class EllipticCurveGroup:
         self.b = b
         self.generator: Point = (gx, gy)
         self.order = order
-        self.kappa = order.bit_length()
         self.field_bytes = (p.bit_length() + 7) // 8
         self.identity: Point = None
         if not _is_prime(p) or not _is_prime(order):
@@ -395,7 +394,6 @@ class EnumerableGroup:
             raise UnsupportedGroupError(f"test group order {order} is not prime")
         self.name = f"TEST({order})"
         self.order = order
-        self.kappa = order.bit_length()
         self.generator = 1
         self.identity = 0
         self.field_bytes = (order.bit_length() + 7) // 8

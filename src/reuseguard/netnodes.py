@@ -132,73 +132,97 @@ class ServiceStats:
     errors_sent: int = 0
 
 
-class _ResponderHandler(socketserver.BaseRequestHandler):
+def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, bytes]:
+    """A responder's whole job on one query payload: the reply's opcode and body.
+
+    An account the store does not hold is answered against an empty set.  A
+    query that does not decode or validate gets ``ERR_INVALID_CIPHERTEXT``
+    padded to the success size of the query's curve (P192 when even the
+    header does not parse), so its length gives nothing away.
+    """
+    group = P192
+    try:
+        group = wire.parse_query_header(payload).group
+        query = wire.decode_query(payload)
+        similar = store.get(query.account_id) or similarity.SimilarSet(
+            query.account_id, (), 0, 0)
+        response = protocol.respond(query, similar, rng)
+    except (InvalidCiphertextError, FrameError):
+        return wire.OP_ERROR, wire.encode_error(
+            wire.ERR_INVALID_CIPHERTEXT, wire.response_payload_size(group))
+    return wire.OP_RESPONSE, wire.encode_response(response, group)
+
+
+# Dispatched in place of a frame that could not be read: no opcode has it.
+_UNREADABLE_FRAME = -1
+
+
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """Reads one frame and sends back the server's ``dispatch`` of it."""
+
     def handle(self):
-        server: ResponderServer = self.server  # type: ignore[assignment]
-        group = P192
         try:
             with self.request.makefile("rb") as reader:
                 opcode, payload = wire.read_frame(reader.read)
         except FrameError:
-            server.stats.errors_sent += 1
-            self._send(wire.OP_ERROR, wire.encode_error(
-                wire.ERR_MALFORMED, wire.response_payload_size(group)))
-            return
-        if opcode != wire.OP_QUERY:
-            server.stats.errors_sent += 1
-            self._send(wire.OP_ERROR, wire.encode_error(
-                wire.ERR_MALFORMED, wire.response_payload_size(group)))
-            return
-        server.stats.queries_received += 1
+            opcode, payload = _UNREADABLE_FRAME, b""
+        reply = wire.encode_frame(*self.server.dispatch(opcode, payload))
         try:
-            # Pad any error to the query's own curve, known from the header.
-            group = wire.parse_query_header(payload).group
-            query = wire.decode_query(payload)
-            similar = server.store.get(query.account_id) or similarity.SimilarSet(
-                query.account_id, (), 0, 0)
-            response = protocol.respond(query, similar, server.rng)
-        except (InvalidCiphertextError, FrameError):
-            server.stats.errors_sent += 1
-            self._send(wire.OP_ERROR, wire.encode_error(
-                wire.ERR_INVALID_CIPHERTEXT, wire.response_payload_size(group)))
-            return
-        server.stats.responses_sent += 1
-        inject_latency(server.reply_profile, "response", server.rng)
-        self._send(wire.OP_RESPONSE, wire.encode_response(response, group))
-
-    def _send(self, opcode: int, payload: bytes) -> None:
-        try:
-            self.request.sendall(wire.encode_frame(opcode, payload))
+            self.request.sendall(reply)
         except OSError:
             pass
 
 
-class ResponderServer(socketserver.ThreadingTCPServer):
+class _FrameServer(socketserver.ThreadingTCPServer):
+    """One frame in, one frame out per connection; subclasses define
+    ``dispatch(opcode, payload) -> (opcode, payload)``."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, listen_addr: Tuple[str, int], store: ResponderStore,
-                 rng=None, reply_profile: Optional[LatencyProfile] = None):
-        super().__init__(listen_addr, _ResponderHandler)
-        self.store = store
-        self.rng = rng or _SYSTEM_RNG
-        self.stats = ServiceStats()
-        self.reply_profile = reply_profile
+    def __init__(self, listen_addr: Tuple[str, int]):
+        super().__init__(listen_addr, _FrameHandler)
 
     @property
     def address(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
 
+    def serve_in_background(self):
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+        return self
+
+
+class ResponderServer(_FrameServer):
+    def __init__(self, listen_addr: Tuple[str, int], store: ResponderStore,
+                 rng=None, reply_profile: Optional[LatencyProfile] = None):
+        super().__init__(listen_addr)
+        self.store = store
+        self.rng = rng or _SYSTEM_RNG
+        self.stats = ServiceStats()
+        self.reply_profile = reply_profile
+
+    def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
+        if opcode != wire.OP_QUERY:
+            self.stats.errors_sent += 1
+            return wire.OP_ERROR, wire.encode_error(
+                wire.ERR_MALFORMED, wire.response_payload_size(P192))
+        self.stats.queries_received += 1
+        out_op, body = answer_query(self.store, payload, self.rng)
+        if out_op == wire.OP_ERROR:
+            self.stats.errors_sent += 1
+        else:
+            self.stats.responses_sent += 1
+            inject_latency(self.reply_profile, "response", self.rng)
+        return out_op, body
+
 
 def serve_responder(store: ResponderStore, listen_addr: str, rng=None,
                     reply_profile: Optional[LatencyProfile] = None
                     ) -> ResponderServer:
     """Start a responder service in a background thread."""
-    server = ResponderServer(_parse_addr(listen_addr), store, rng, reply_profile)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    return ResponderServer(_parse_addr(listen_addr), store, rng,
+                           reply_profile).serve_in_background()
 
 
 def _parse_addr(addr: str) -> Tuple[str, int]:
@@ -228,13 +252,14 @@ def tcp_request(address: str, opcode: int, payload: bytes, timeout: float,
     raise TransportError(f"request to {address} failed: {last_error}")
 
 
-def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None,
-                                 rng=None, retries: int = 0):
-    """Directory-side transport delivering queries to responder services.
+def _responder_transport(send, profile: Optional[LatencyProfile], rng):
+    """Directory-side transport around ``send(endpoint, payload, timeout)``.
 
-    A ``wire.RawQuery`` (a relayed query) goes out as its payload bytes and
-    comes back as the reply's bytes, checked for size only.  A
+    ``send`` delivers one query payload and returns the reply's opcode and
+    body.  A ``wire.RawQuery`` (a relayed query) goes out as its payload
+    bytes and comes back as the reply's bytes, checked for size only.  A
     ``protocol.QueryMessage`` (an audit) is encoded, and its reply decoded.
+    An error reply raises ``InvalidCiphertextError``.
     """
 
     def transport(endpoint: ResponderEndpoint, query, timeout: float):
@@ -242,8 +267,7 @@ def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None,
         group = query.group if relay else query.pk.group
         payload = query.payload if relay else wire.encode_query(query)
         inject_latency(profile, "request", rng)
-        opcode, body = tcp_request(endpoint.address, wire.OP_QUERY, payload,
-                                   timeout, retries)
+        opcode, body = send(endpoint, payload, timeout)
         inject_latency(profile, "response", rng)
         if opcode == wire.OP_ERROR:
             raise InvalidCiphertextError(f"responder error {wire.decode_error(body)}")
@@ -258,73 +282,39 @@ def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None,
     return transport
 
 
+def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None, rng=None):
+    """Transport delivering queries to responder services over TCP, once each."""
+
+    def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
+        return tcp_request(endpoint.address, wire.OP_QUERY, payload, timeout,
+                           retries=0)
+
+    return _responder_transport(send, profile, rng)
+
+
 def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
                                        profile: Optional[LatencyProfile] = None,
-                                       rng=None, wire_roundtrip: bool = True):
-    """Transport for in-process responders keyed by endpoint address.
+                                       rng=None):
+    """Transport answering from in-process stores keyed by endpoint address.
 
-    With ``wire_roundtrip`` the query and response pass through the real
-    codecs so serialization and point decompression costs are included.
-    A ``wire.RawQuery`` is always decoded and answered with reply bytes,
-    as a responder service would.
+    Each query and reply passes through the real codecs, as over TCP.
     """
 
-    def transport(endpoint: ResponderEndpoint, query, timeout: float):
+    def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
         store = stores.get(endpoint.address)
         if store is None:
             raise TransportError(f"no responder at {endpoint.address}")
-        inject_latency(profile, "request", rng)
-        relay = isinstance(query, wire.RawQuery)
-        if relay:
-            query = wire.decode_query(query.payload)
-        elif wire_roundtrip:
-            query = wire.decode_query(wire.encode_query(query))
-        similar = store.get(query.account_id) or similarity.SimilarSet(
-            query.account_id, (), 0, 0)
-        response = protocol.respond(query, similar, rng)
-        group = query.pk.group
-        if relay:
-            response = wire.encode_response(response, group)
-        elif wire_roundtrip:
-            response = wire.decode_response(
-                wire.encode_response(response, group), group)
-        inject_latency(profile, "response", rng)
-        return response
+        return answer_query(store, payload, rng)
 
-    return transport
+    return _responder_transport(send, profile, rng)
 
 
 # -- directory daemon --------------------------------------------------------
 
-class _DirectoryHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: DirectoryServer = self.server  # type: ignore[assignment]
-        try:
-            with self.request.makefile("rb") as reader:
-                opcode, payload = wire.read_frame(reader.read)
-            out_op, out_payload = server.dispatch(opcode, payload)
-        except FrameError:
-            out_op = wire.OP_ERROR
-            out_payload = wire.encode_error(
-                wire.ERR_MALFORMED, wire.response_payload_size(P192))
-        try:
-            self.request.sendall(wire.encode_frame(out_op, out_payload))
-        except OSError:
-            pass
-
-
-class DirectoryServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
+class DirectoryServer(_FrameServer):
     def __init__(self, listen_addr: Tuple[str, int], directory: Directory):
-        super().__init__(listen_addr, _DirectoryHandler)
+        super().__init__(listen_addr)
         self.directory = directory
-
-    @property
-    def address(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
         directory = self.directory
@@ -362,9 +352,7 @@ class DirectoryServer(socketserver.ThreadingTCPServer):
                     ResponderEndpoint(address, transport))
                 return wire.OP_VERDICT, wire.encode_verdict(verdict.value)
             return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
-        except ConsentRequiredError:
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
-        except ConsentTokenError:
+        except (ConsentRequiredError, ConsentTokenError):
             return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
         except InsufficientRespondersError:
             return wire.OP_ERROR, wire.encode_error(
@@ -376,10 +364,8 @@ class DirectoryServer(socketserver.ThreadingTCPServer):
 
 
 def serve_directory(directory: Directory, listen_addr: str) -> DirectoryServer:
-    server = DirectoryServer(_parse_addr(listen_addr), directory)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    """Start a directory daemon in a background thread."""
+    return DirectoryServer(_parse_addr(listen_addr), directory).serve_in_background()
 
 
 # -- requester client --------------------------------------------------------

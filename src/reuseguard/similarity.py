@@ -280,9 +280,6 @@ class SimilarSet:
     def per_seed_budget(self) -> int:
         return self.capacity // (self.d + 1)
 
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in set(self.entries)
-
 
 def build_similar_set(account_id: str, password: str, d: int, capacity: int,
                       hash_params: SlowHashParams = DEFAULT_HASH_PARAMS,

@@ -351,6 +351,7 @@ def test_08_end_to_end_flow():
         assert runs_seen == {2, 3}
     finally:
         dserver.shutdown()
+        dserver.server_close()
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120

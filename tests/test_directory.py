@@ -199,6 +199,21 @@ def test_unknown_token_rejected():
         d.confirm_consent("deadbeef")
 
 
+def test_consent_state_is_bounded():
+    now = [0.0]
+    d = Directory(None, clock=lambda: now[0], token_ttl=600.0,
+                  window_seconds=60.0)
+    tokens = [d.begin_consent(f"user{i}@example.com") for i in range(1000)]
+    for token in tokens[:10]:
+        d.confirm_consent(token)
+    assert len(d._tokens) == 990
+    assert len(d._windows) == 10
+    now[0] += 601.0
+    d.begin_consent(ACCOUNT)
+    assert len(d._tokens) == 1
+    assert d._windows == {}
+
+
 # -- fan-out -----------------------------------------------------------------
 
 def test_fanout_returns_exactly_rho_responses():
@@ -261,7 +276,7 @@ def test_early_return_fraction():
             elgamal.Ciphertext(int(endpoint.address.split("-")[1]), 0))
 
     d = Directory(transport, early_return_fraction=0.75,
-                  rng=random.Random(9), max_workers=1)
+                  rng=random.Random(9))
     for i in range(64):
         d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
     open_window(d)
@@ -397,6 +412,62 @@ def test_persistence_roundtrip(tmp_path):
     assert d2.responder_count(ACCOUNT) == 1
     assert d2.responder_count("other@example.com") == 0
     d2.close()
+
+
+def test_fanout_logs_no_event(tmp_path):
+    state = tmp_path / "dstate"
+    sets = {"r0": similarity.build_similar_set(ACCOUNT, "hunter2", 0, 5, CHEAP)}
+    d = Directory(RecordingTransport(sets), state_dir=str(state),
+                  rng=random.Random(4))
+    d.register(ACCOUNT, ResponderEndpoint("r0"))
+    open_window(d)
+    before = (state / "events.jsonl").read_bytes()
+    d.fanout(make_query()[0], 1)
+    assert (state / "events.jsonl").read_bytes() == before
+    d.close()
+
+
+def test_torn_last_log_line_is_dropped(tmp_path):
+    state = tmp_path / "dstate"
+    state.mkdir()
+    whole = json.dumps({"op": "register", "account": ACCOUNT, "address": "a:1",
+                        "transport": "tcp", "ts": 1.0}) + "\n"
+    torn = json.dumps({"op": "register", "account": ACCOUNT, "address": "b:1",
+                       "transport": "tcp", "ts": 2.0})[:30]
+    (state / "events.jsonl").write_text(whole + torn)
+    d = Directory(None, state_dir=str(state))
+    assert d.responder_count(ACCOUNT) == 1
+    d.register(ACCOUNT, ResponderEndpoint("c:1"))
+    lines = (state / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["address"] for line in lines] == ["a:1", "c:1"]
+    d.close()
+    d2 = Directory(None, state_dir=str(state))
+    assert d2.responder_count(ACCOUNT) == 2
+    d2.close()
+
+
+def test_failed_snapshot_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
+    state = tmp_path / "dstate"
+    d = Directory(None, state_dir=str(state))
+    d.register(ACCOUNT, ResponderEndpoint("a:1"))
+    d.close()
+    before = (state / "snapshot.json").read_bytes()
+
+    def torn_dump(obj, fh):
+        fh.write('{"accounts": {')
+        raise OSError("disk full")
+
+    d2 = Directory(None, state_dir=str(state))
+    d2.register(ACCOUNT, ResponderEndpoint("b:1"))
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        d2.close()
+    monkeypatch.undo()
+    d2._log_fh.close()
+    assert (state / "snapshot.json").read_bytes() == before
+    d3 = Directory(None, state_dir=str(state))
+    assert d3.responder_count(ACCOUNT) == 2
+    d3.close()
 
 
 def test_replay_from_log_without_snapshot(tmp_path):

@@ -19,6 +19,7 @@ from reuseguard.netnodes import (
     DirectoryClient,
     DirectoryServer,
     ResponderStore,
+    answer_query,
     draw_latency,
     inject_latency,
     make_inprocess_responder_transport,
@@ -439,7 +440,8 @@ class _UndecodableReplier(socketserver.BaseRequestHandler):
     """Answers any query with a reply of the right size that is no point."""
 
     def handle(self):
-        wire.read_frame(self.request.makefile("rb").read)
+        with self.request.makefile("rb") as reader:
+            wire.read_frame(reader.read)
         self.request.sendall(wire.encode_frame(
             wire.OP_RESPONSE, b"\x07" * wire.response_payload_size(P192)))
 
@@ -461,6 +463,7 @@ def test_undecodable_reply_of_right_size_is_dropped(responder_server):
         assert protocol.decode_result(session, responses[0]) is True
     finally:
         dserver.shutdown()
+        dserver.server_close()
         liar.shutdown()
         liar.server_close()
 
@@ -507,6 +510,21 @@ def test_tcp_transport_relays_raw_bytes(responder_server):
                   wire.parse_query_header(_off_curve_payload(query)), 5.0)
 
 
+def test_off_curve_query_rejected_alike_in_process_and_over_tcp(responder_server):
+    query, _ = protocol.build_query(ACCOUNT, "hunter2", 5, group=P256,
+                                    hash_params=CHEAP)
+    bad = _off_curve_payload(query)
+    opcode, body = answer_query(responder_server.store, bad)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_INVALID_CIPHERTEXT
+    assert len(body) == wire.response_payload_size(P256)
+    inprocess = make_inprocess_responder_transport({"here": responder_server.store})
+    tcp = make_tcp_responder_transport()
+    for transport, address in ((inprocess, "here"), (tcp, responder_server.address)):
+        with pytest.raises(InvalidCiphertextError):
+            transport(ResponderEndpoint(address), wire.parse_query_header(bad), 5.0)
+
+
 def test_flow_fails_closed_when_no_responder_answers():
     directory = Directory(make_tcp_responder_transport(), rng=random.Random(17))
     directory.register(ACCOUNT, ResponderEndpoint(_closed_port_address()))
@@ -521,3 +539,4 @@ def test_flow_fails_closed_when_no_responder_answers():
                                    rng=random.Random(19))
     finally:
         dserver.shutdown()
+        dserver.server_close()

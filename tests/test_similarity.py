@@ -56,7 +56,7 @@ def test_custom_transform_rules_plug_in():
     assert out == ["abcdef", "fedcba"]
     sset = build_similar_set("a@b.com", "abcdef", 0, 2, CHEAP_HASH_PARAMS,
                              rules=(reverse,))
-    assert bloom_item("fedcba", "a@b.com", CHEAP_HASH_PARAMS) in sset
+    assert bloom_item("fedcba", "a@b.com", CHEAP_HASH_PARAMS) in sset.entries
 
 
 def test_honey_empty_for_zero():
@@ -114,8 +114,8 @@ def test_build_set_rejects_tiny_capacity():
 def test_membership_by_digest():
     account = "a@b.com"
     sset = build_similar_set(account, "monkey1", 0, 8, CHEAP_HASH_PARAMS)
-    assert bloom_item("Monkey1", account, CHEAP_HASH_PARAMS) in sset
-    assert bloom_item("totally-unrelated", account, CHEAP_HASH_PARAMS) not in sset
+    assert bloom_item("Monkey1", account, CHEAP_HASH_PARAMS) in sset.entries
+    assert bloom_item("totally-unrelated", account, CHEAP_HASH_PARAMS) not in sset.entries
 
 
 def test_no_duplicate_digests():
