@@ -20,6 +20,7 @@ from .errors import (
     NoResponseError,
     NotOnCurveError,
     ReuseGuardError,
+    StateError,
     TransportError,
     UnsupportedGroupError,
 )
@@ -32,5 +33,5 @@ __all__ = [
     "ReuseGuardError", "UnsupportedGroupError", "NotOnCurveError",
     "InvalidCiphertextError", "ConsentRequiredError", "ConsentTokenError",
     "InsufficientRespondersError", "InfeasibleError", "MalformedAddressError",
-    "FrameError", "TransportError", "NoResponseError",
+    "FrameError", "TransportError", "NoResponseError", "StateError",
 ]

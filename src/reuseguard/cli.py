@@ -99,7 +99,7 @@ def planner_main(argv=None) -> int:
 
 
 def responder_main(argv=None) -> int:
-    from .netnodes import PROFILES, ResponderStore, serve_responder
+    from .netnodes import ResponderStore, serve_responder
 
     parser = argparse.ArgumentParser(
         prog="responder",
@@ -107,14 +107,10 @@ def responder_main(argv=None) -> int:
     parser.add_argument("--store", required=True,
                         help="similar-set store (file or directory of .simset)")
     parser.add_argument("--listen", required=True, help="host:port to bind")
-    parser.add_argument("--profile", choices=["trusted", "untrusted"],
-                        default="trusted",
-                        help="emulated transport path for outbound replies")
     args = parser.parse_args(argv)
 
     store = ResponderStore.load(args.store)
-    reply_profile = PROFILES[args.profile] if args.profile == "untrusted" else None
-    server = serve_responder(store, args.listen, reply_profile=reply_profile)
+    server = serve_responder(store, args.listen)
     print(f"responder listening on {server.address} "
           f"({len(store.accounts())} accounts)", flush=True)
     try:

@@ -42,6 +42,7 @@ from .errors import (
     InsufficientRespondersError,
     InvalidCiphertextError,
     MalformedAddressError,
+    StateError,
 )
 from .groups import P192
 
@@ -147,7 +148,8 @@ class Directory:
     on other failures).  Registry and flag changes are appended to a
     JSON-lines log under ``state_dir`` when given, with a snapshot
     swapped in on ``close``; both are replayed on startup, dropping a
-    torn last log line.  Queries are not logged.
+    torn last log line.  Any other line or snapshot that does not replay
+    raises ``StateError``.  Queries are not logged.
     """
 
     def __init__(self, transport: Optional[Transport] = None, *,
@@ -176,7 +178,11 @@ class Directory:
         self._log_fh = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
-            self._load_state()
+            try:
+                self._load_state()
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # Bad JSON or encoding, a missing field, a value of the wrong type.
+                raise StateError(f"state in {state_dir} does not replay: {exc!r}") from exc
             self._log_fh = open(os.path.join(state_dir, "events.jsonl"), "a")
 
     # -- registry ---------------------------------------------------------
@@ -426,15 +432,17 @@ class Directory:
         if self._state_dir is None:
             return
         snap_path = os.path.join(self._state_dir, "snapshot.json")
-        # A crash leaves either the old snapshot or the new one, never half.
-        with open(snap_path + ".tmp", "w") as fh:
-            json.dump(self._snapshot_payload(), fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(snap_path + ".tmp", snap_path)
-        if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+        try:
+            # A crash leaves either the old snapshot or the new one, never half.
+            with open(snap_path + ".tmp", "w") as fh:
+                json.dump(self._snapshot_payload(), fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(snap_path + ".tmp", snap_path)
+        finally:
+            if self._log_fh is not None:
+                self._log_fh.close()
+                self._log_fh = None
         # The log is folded into the snapshot; start the next run clean.
         open(os.path.join(self._state_dir, "events.jsonl"), "w").close()
 

@@ -46,4 +46,8 @@ class FrameError(ReuseGuardError):
 
 
 class TransportError(ReuseGuardError):
-    """A network operation failed after exhausting its retry budget."""
+    """A request failed: unreachable peer, no reply, or an unexpected one."""
+
+
+class StateError(ReuseGuardError):
+    """A persisted state file (event log or snapshot) does not replay."""

@@ -61,8 +61,7 @@ def draw_latency(profile: LatencyProfile, rng=None) -> float:
     return sum(rng.lognormvariate(mu, profile.sigma) for _ in range(profile.hops))
 
 
-def inject_latency(profile: Optional[LatencyProfile], direction: str,
-                   rng=None) -> float:
+def inject_latency(profile: Optional[LatencyProfile], rng=None) -> float:
     """Sleep for one direction's worth of emulated path delay."""
     if profile is None:
         return 0.0
@@ -123,13 +122,6 @@ class ResponderStore:
         else:
             store.add(similarity.load_similar_set(path))
         return store
-
-
-@dataclass
-class ServiceStats:
-    queries_received: int = 0
-    responses_sent: int = 0
-    errors_sent: int = 0
 
 
 def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, bytes]:
@@ -194,35 +186,20 @@ class _FrameServer(socketserver.ThreadingTCPServer):
 
 
 class ResponderServer(_FrameServer):
-    def __init__(self, listen_addr: Tuple[str, int], store: ResponderStore,
-                 rng=None, reply_profile: Optional[LatencyProfile] = None):
+    def __init__(self, listen_addr: Tuple[str, int], store: ResponderStore):
         super().__init__(listen_addr)
         self.store = store
-        self.rng = rng or _SYSTEM_RNG
-        self.stats = ServiceStats()
-        self.reply_profile = reply_profile
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
         if opcode != wire.OP_QUERY:
-            self.stats.errors_sent += 1
             return wire.OP_ERROR, wire.encode_error(
                 wire.ERR_MALFORMED, wire.response_payload_size(P192))
-        self.stats.queries_received += 1
-        out_op, body = answer_query(self.store, payload, self.rng)
-        if out_op == wire.OP_ERROR:
-            self.stats.errors_sent += 1
-        else:
-            self.stats.responses_sent += 1
-            inject_latency(self.reply_profile, "response", self.rng)
-        return out_op, body
+        return answer_query(self.store, payload)
 
 
-def serve_responder(store: ResponderStore, listen_addr: str, rng=None,
-                    reply_profile: Optional[LatencyProfile] = None
-                    ) -> ResponderServer:
+def serve_responder(store: ResponderStore, listen_addr: str) -> ResponderServer:
     """Start a responder service in a background thread."""
-    return ResponderServer(_parse_addr(listen_addr), store, rng,
-                           reply_profile).serve_in_background()
+    return ResponderServer(_parse_addr(listen_addr), store).serve_in_background()
 
 
 def _parse_addr(addr: str) -> Tuple[str, int]:
@@ -234,22 +211,19 @@ def _parse_addr(addr: str) -> Tuple[str, int]:
 
 # -- raw request/response over TCP -----------------------------------------
 
-def tcp_request(address: str, opcode: int, payload: bytes, timeout: float,
-                retries: int = 2) -> Tuple[int, bytes]:
-    host, port = _parse_addr(address)
-    last_error: Exception = TransportError("unreachable")
-    for _ in range(retries + 1):
-        try:
-            with socket.create_connection((host, port), timeout=timeout) as sock:
-                sock.settimeout(timeout)
-                sock.sendall(wire.encode_frame(opcode, payload))
-                with sock.makefile("rb") as reader:
-                    return wire.read_frame(reader.read)
-        except socket.timeout as exc:
-            raise TimeoutError(str(exc)) from exc
-        except (OSError, FrameError) as exc:
-            last_error = exc
-    raise TransportError(f"request to {address} failed: {last_error}")
+def tcp_request(address: str, opcode: int, payload: bytes, timeout: float
+                ) -> Tuple[int, bytes]:
+    """One frame out, one back, one connection.  Never retried: a register,
+    a consent request or a query sent twice is not one sent once."""
+    try:
+        with socket.create_connection(_parse_addr(address), timeout=timeout) as sock:
+            sock.sendall(wire.encode_frame(opcode, payload))
+            with sock.makefile("rb") as reader:
+                return wire.read_frame(reader.read)
+    except socket.timeout as exc:
+        raise TimeoutError(str(exc)) from exc
+    except (OSError, FrameError) as exc:
+        raise TransportError(f"request to {address} failed: {exc}") from exc
 
 
 def _responder_transport(send, profile: Optional[LatencyProfile], rng):
@@ -266,9 +240,9 @@ def _responder_transport(send, profile: Optional[LatencyProfile], rng):
         relay = isinstance(query, wire.RawQuery)
         group = query.group if relay else query.pk.group
         payload = query.payload if relay else wire.encode_query(query)
-        inject_latency(profile, "request", rng)
+        inject_latency(profile, rng)
         opcode, body = send(endpoint, payload, timeout)
-        inject_latency(profile, "response", rng)
+        inject_latency(profile, rng)
         if opcode == wire.OP_ERROR:
             raise InvalidCiphertextError(f"responder error {wire.decode_error(body)}")
         if opcode != wire.OP_RESPONSE:
@@ -286,8 +260,7 @@ def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None, rng=N
     """Transport delivering queries to responder services over TCP, once each."""
 
     def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
-        return tcp_request(endpoint.address, wire.OP_QUERY, payload, timeout,
-                           retries=0)
+        return tcp_request(endpoint.address, wire.OP_QUERY, payload, timeout)
 
     return _responder_transport(send, profile, rng)
 
@@ -381,18 +354,16 @@ class DirectoryClient:
     """Blocking client for the directory's framed API."""
 
     def __init__(self, address: str, profile: LatencyProfile = TRUSTED_PROFILE,
-                 timeout: float = 30.0, retries: int = 2, rng=None):
+                 timeout: float = 30.0, rng=None):
         self.address = address
         self.profile = profile
         self.timeout = timeout
-        self.retries = retries
         self.rng = rng or _SYSTEM_RNG
 
     def _call(self, opcode: int, payload: bytes, expect: int) -> bytes:
-        inject_latency(self.profile, "request", self.rng)
-        got_op, body = tcp_request(self.address, opcode, payload,
-                                   self.timeout, self.retries)
-        inject_latency(self.profile, "response", self.rng)
+        inject_latency(self.profile, self.rng)
+        got_op, body = tcp_request(self.address, opcode, payload, self.timeout)
+        inject_latency(self.profile, self.rng)
         if got_op == wire.OP_ERROR:
             code = wire.decode_error(body)
             exc = _ERROR_EXCEPTIONS.get(code, TransportError)
@@ -468,7 +439,6 @@ def requester_set_password(client: DirectoryClient, account: str,
                            model: Optional[planner.LatencyModel] = None,
                            curve: planner.ReuseCurve = planner.DEFAULT_REUSE_CURVE,
                            register_endpoint: Optional[str] = None,
-                           prior_runs: int = 0,
                            rng=None) -> SetPasswordResult:
     """Run the full password-setting flow against a directory.
 
@@ -509,7 +479,7 @@ def requester_set_password(client: DirectoryClient, account: str,
     if detections:
         return SetPasswordResult(False, detections, received, runs, plan)
     if policy.enabled:
-        while prior_runs + runs < policy.min_runs:
+        while runs < policy.min_runs:
             one_run(_decoy_password(rng))
             runs += 1
         if rng.random() < policy.extra_run_probability:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Tuple
-
-import numpy as np
 
 from .errors import InfeasibleError
 
@@ -93,25 +92,43 @@ def predict_time(model: LatencyModel, rho: int, n: int) -> float:
 def fit_model(samples: Iterable[Tuple[float, float, float]]) -> LatencyModel:
     """Least-squares fit of the four coefficients from (rho, n, time) rows.
 
-    Requires at least eight samples with variation on both axes; raises
+    Solves the normal equations XᵀX·c = Xᵀt exactly in rationals.  Requires
+    at least eight finite samples with variation on both axes; raises
     ValueError on a rank-deficient design.
     """
     rows = [(float(r), float(n), float(t)) for r, n, t in samples]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("samples must be finite")
     if len(rows) < 8:
         raise ValueError("need at least 8 samples")
     rhos = {r for r, _, _ in rows}
     ns = {n for _, n, _ in rows}
     if len(rhos) < 2 or len(ns) < 2:
         raise ValueError("samples must span both axes")
-    a = np.array([[1.0, n, r, n * r] for r, n, _ in rows])
-    y = np.array([t for _, _, t in rows])
-    if np.linalg.matrix_rank(a) < 4:
-        raise ValueError("rank-deficient design matrix")
-    coeffs, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    resid = a @ coeffs - y
-    rmse = float(np.sqrt(np.mean(resid ** 2)))
+    xs = [(Fraction(1), Fraction(n), Fraction(r), Fraction(n) * Fraction(r))
+          for r, n, _ in rows]
+    ts = [Fraction(t) for _, _, t in rows]
+    # The augmented matrix [XᵀX | Xᵀt].
+    m = [[sum(x[i] * x[j] for x in xs) for j in range(4)]
+         + [sum(x[i] * t for x, t in zip(xs, ts))] for i in range(4)]
+    xty = [row[4] for row in m]
+    # Gauss-Jordan without row swaps: XᵀX is positive semidefinite, so its
+    # pivots are ratios of leading principal minors, and a zero pivot
+    # appears exactly when the design is rank-deficient.
+    for col in range(4):
+        pivot = m[col][col]
+        if pivot == 0:
+            raise ValueError("rank-deficient design matrix")
+        m[col] = [v / pivot for v in m[col]]
+        for row in range(4):
+            factor = m[row][col]
+            if row != col and factor:
+                m[row] = [a - factor * b for a, b in zip(m[row], m[col])]
+    coeffs = [row[4] for row in m]
+    # At the exact solution the residual sum of squares is tᵀt − cᵀXᵀt.
+    sse = sum(t * t for t in ts) - sum(c * b for c, b in zip(coeffs, xty))
     c0, c1, c2, c3 = (float(c) for c in coeffs)
-    return LatencyModel(c0, c1, c2, c3, rmse=rmse)
+    return LatencyModel(c0, c1, c2, c3, rmse=math.sqrt(sse / len(rows)))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,32 @@ def test_planner_fit_roundtrip(tmp_path, capsys):
     assert "rmse = 0.0000" in out
 
 
+def test_planner_fit_rejects_a_non_finite_time(tmp_path, capsys):
+    rows = ["rho,n,time"] + [f"{rho},{n},{'inf' if rho == n == 1 else 0.1}"
+                             for rho in (1, 2, 3) for n in (1, 2, 3)]
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert planner_main(["fit", "--csv", str(path)]) == 1
+    assert "fit failed" in capsys.readouterr().err
+
+
+def test_package_and_planner_fit_run_without_numpy(tmp_path):
+    rows = ["rho,n,time"] + [
+        f"{rho},{n},{planner.predict_time(planner.TRUSTED_MODEL, rho, n)}"
+        for rho in (1, 8, 16) for n in (1, 16, 32)]
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(rows) + "\n")
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+              "import reuseguard\n"
+              "from reuseguard.cli import planner_main\n"
+              "sys.exit(planner_main(['fit', '--csv', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "c0 = 6.459500e-03" in proc.stdout
+
+
 def test_planner_bench_writes_csv(tmp_path):
     out_path = tmp_path / "bench.csv"
     rc = planner_main(["bench", "--curve-id", "P192", "--n", "1", "--rho", "1",

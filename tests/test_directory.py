@@ -18,6 +18,7 @@ from reuseguard.errors import (
     InsufficientRespondersError,
     InvalidCiphertextError,
     MalformedAddressError,
+    StateError,
 )
 from reuseguard.groups import enumerable_group
 
@@ -459,15 +460,33 @@ def test_failed_snapshot_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
 
     d2 = Directory(None, state_dir=str(state))
     d2.register(ACCOUNT, ResponderEndpoint("b:1"))
+    log_fh = d2._log_fh
     monkeypatch.setattr(json, "dump", torn_dump)
     with pytest.raises(OSError):
         d2.close()
     monkeypatch.undo()
-    d2._log_fh.close()
+    assert log_fh.closed
     assert (state / "snapshot.json").read_bytes() == before
     d3 = Directory(None, state_dir=str(state))
     assert d3.responder_count(ACCOUNT) == 2
     d3.close()
+
+
+_WHOLE_EVENT = json.dumps({"op": "register", "account": ACCOUNT, "address": "a:1",
+                           "transport": "tcp", "ts": 1.0}) + "\n"
+
+
+@pytest.mark.parametrize("name, content", [
+    ("events.jsonl", '{"op": "regis\n' + _WHOLE_EVENT),  # corrupt, not last
+    ("events.jsonl", _WHOLE_EVENT + '{"op": "register"}\n'),  # missing fields
+    ("snapshot.json", '{"accounts": {'),  # does not parse
+], ids=["corrupt-line", "missing-field", "bad-snapshot"])
+def test_state_that_does_not_replay_raises_state_error(tmp_path, name, content):
+    state = tmp_path / "dstate"
+    state.mkdir()
+    (state / name).write_text(content)
+    with pytest.raises(StateError):
+        Directory(None, state_dir=str(state))
 
 
 def test_replay_from_log_without_snapshot(tmp_path):

@@ -10,7 +10,12 @@ import pytest
 
 from reuseguard import planner, protocol, similarity, wire
 from reuseguard.directory import Directory, ResponderEndpoint
-from reuseguard.errors import ConsentRequiredError, InvalidCiphertextError, NoResponseError
+from reuseguard.errors import (
+    ConsentRequiredError,
+    InvalidCiphertextError,
+    NoResponseError,
+    TransportError,
+)
 from reuseguard.groups import P192, P256, EllipticCurveGroup
 from reuseguard.netnodes import (
     TRUSTED_PROFILE,
@@ -63,10 +68,10 @@ def test_untrusted_profile_much_slower_than_trusted():
 
 def test_inject_latency_sleeps():
     start = time.perf_counter()
-    delay = inject_latency(UNTRUSTED_PROFILE, "request", random.Random(3))
+    delay = inject_latency(UNTRUSTED_PROFILE, random.Random(3))
     elapsed = time.perf_counter() - start
     assert elapsed >= delay * 0.5
-    assert inject_latency(None, "request") == 0.0
+    assert inject_latency(None) == 0.0
 
 
 # -- responder store ----------------------------------------------------------
@@ -99,6 +104,20 @@ def responder_server():
     yield server
     server.shutdown()
     server.server_close()
+
+
+def _count_served(server, monkeypatch):
+    """The opcodes of every reply ``server`` sends from now on."""
+    served = []
+    dispatch = server.dispatch
+
+    def counting(opcode, payload):
+        reply = dispatch(opcode, payload)
+        served.append(reply[0])
+        return reply
+
+    monkeypatch.setattr(server, "dispatch", counting)
+    return served
 
 
 def test_responder_answers_honest_query(responder_server):
@@ -159,7 +178,7 @@ def test_responder_survives_garbage_and_wrong_opcode(responder_server):
     assert protocol.decode_result(session, response) is True
 
 
-def test_concurrent_queries_all_succeed(responder_server):
+def test_concurrent_queries_all_succeed(responder_server, monkeypatch):
     # One query served to many concurrent connections; every connection
     # must get a decodable answer.
     transport = make_tcp_responder_transport()
@@ -176,7 +195,7 @@ def test_concurrent_queries_all_succeed(responder_server):
             errors.append(exc)
 
     threads = [threading.Thread(target=worker) for _ in range(64)]
-    before = responder_server.stats.queries_received
+    served = _count_served(responder_server, monkeypatch)
     for t in threads:
         t.start()
     for t in threads:
@@ -184,8 +203,7 @@ def test_concurrent_queries_all_succeed(responder_server):
     assert not errors
     assert len(results) == 64
     assert all(protocol.decode_result(session, r) for r in results)
-    assert responder_server.stats.queries_received == before + 64
-    assert responder_server.stats.responses_sent >= before + 64
+    assert served == [wire.OP_RESPONSE] * 64
 
 
 @pytest.mark.skipif(not os.environ.get("REUSEGUARD_FULL_STRESS"),
@@ -214,18 +232,46 @@ def test_concurrent_queries_full_scale(responder_server):
     assert all(protocol.decode_result(session, r) for r in results)
 
 
-def test_single_round_per_responder_per_run(responder_server):
+def test_single_round_per_responder_per_run(responder_server, monkeypatch):
     d = Directory(make_tcp_responder_transport())
     d.register(ACCOUNT, ResponderEndpoint(responder_server.address))
     token = d.begin_consent(ACCOUNT)
     d.confirm_consent(token)
-    before = responder_server.stats.queries_received
+    served = _count_served(responder_server, monkeypatch)
     query, _ = protocol.build_query(ACCOUNT, "pw", 2, group=P192,
                                     hash_params=CHEAP)
     d.fanout(query, 1)
-    assert responder_server.stats.queries_received == before + 1
-    assert responder_server.stats.responses_sent == \
-        responder_server.stats.queries_received
+    assert served == [wire.OP_RESPONSE]
+
+
+def test_request_is_sent_once_when_the_reply_is_lost():
+    # A server that accepts and closes without replying: the client must
+    # not send the (non-idempotent) request again.
+    accepted = []
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def accept_and_hang_up():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            conn.close()
+
+    acceptor = threading.Thread(target=accept_and_hang_up, daemon=True)
+    acceptor.start()
+    client = DirectoryClient("127.0.0.1:%d" % listener.getsockname()[1],
+                             TRUSTED_PROFILE, timeout=5.0, rng=random.Random(17))
+    try:
+        with pytest.raises(TransportError):
+            client.begin_consent(ACCOUNT)
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        listener.close()
+        acceptor.join(timeout=5.0)
+    assert not acceptor.is_alive()
+    assert len(accepted) == 1
 
 
 # -- full flow over sockets ----------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +107,26 @@ def test_fit_model_with_noise_recovers_within_five_percent():
                 / abs(getattr(UNTRUSTED_MODEL, name))
             assert rel < 0.05
         assert fit.rmse == pytest.approx(0.05, rel=0.15)
+
+
+def test_fit_model_matches_floating_point_least_squares():
+    samples = _grid_samples(UNTRUSTED_MODEL, noise_sigma=0.05, reps=10, seed=11)
+    design = np.array([[1.0, n, rho, n * rho] for rho, n, _ in samples])
+    times = np.array([t for _, _, t in samples])
+    ref, _, _, _ = np.linalg.lstsq(design, times, rcond=None)
+    ref_rmse = float(np.sqrt(np.mean((design @ ref - times) ** 2)))
+    fit = fit_model(samples)
+    for name, want in zip(("c0", "c1", "c2", "c3"), ref):
+        assert getattr(fit, name) == pytest.approx(float(want), rel=1e-9)
+    assert fit.rmse == pytest.approx(ref_rmse, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fit_model_rejects_non_finite_samples(bad):
+    samples = _grid_samples(TRUSTED_MODEL)
+    samples[3] = (samples[3][0], samples[3][1], bad)
+    with pytest.raises(ValueError):
+        fit_model(samples)
 
 
 def test_fit_model_requires_enough_spread():
