@@ -155,28 +155,25 @@ def read_fit_samples(fh) -> List[Tuple[float, float, float]]:
     Accepts either the bench output (round_trip rows are used) or a bare
     three-column rho,n,time file.
     """
-    rows = list(csv.reader(fh))
+    rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError("empty CSV")
     header = [h.strip().lower() for h in rows[0]]
-    samples = []
     if "phase" in header:
-        idx = {name: header.index(name) for name in ("rho", "n", "phase", "time_s")}
-        for row in rows[1:]:
-            if row and row[idx["phase"]] == "round_trip":
-                samples.append((float(row[idx["rho"]]), float(row[idx["n"]]),
-                                float(row[idx["time_s"]])))
+        *cols, phase = (header.index(name) for name in ("rho", "n", "time_s", "phase"))
+        rows = [row for row in rows[1:] if len(row) > phase and row[phase] == "round_trip"]
     else:
-        data = rows[1:] if not _numeric_row(rows[0]) else rows
-        for row in data:
-            if row:
-                samples.append((float(row[0]), float(row[1]), float(row[2])))
-    return samples
+        cols = [0, 1, 2]
+        rows = rows if _numeric_row(rows[0]) else rows[1:]
+    for row in rows:
+        if len(row) <= max(cols):
+            raise ValueError(f"short CSV row: {','.join(row)}")
+    return [tuple(float(row[c]) for c in cols) for row in rows]
 
 
 def _numeric_row(row) -> bool:
     try:
         [float(x) for x in row[:3]]
         return True
-    except (ValueError, IndexError):
+    except ValueError:
         return False

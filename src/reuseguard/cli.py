@@ -68,10 +68,9 @@ def planner_main(argv=None) -> int:
         return 0
 
     if args.command == "fit":
-        with open(args.csv) as fh:
-            samples = bench.read_fit_samples(fh)
         try:
-            model = planner.fit_model(samples)
+            with open(args.csv) as fh:
+                model = planner.fit_model(bench.read_fit_samples(fh))
         except ValueError as exc:
             print(f"fit failed: {exc}", file=sys.stderr)
             return 1
@@ -109,7 +108,11 @@ def responder_main(argv=None) -> int:
     parser.add_argument("--listen", required=True, help="host:port to bind")
     args = parser.parse_args(argv)
 
-    store = ResponderStore.load(args.store)
+    try:
+        store = ResponderStore.load(args.store)
+    except ReuseGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     server = serve_responder(store, args.listen)
     print(f"responder listening on {server.address} "
           f"({len(store.accounts())} accounts)", flush=True)

@@ -82,20 +82,12 @@ def canonicalize(email: str) -> str:
     return f"{local}@{domain}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ResponderEndpoint:
     """Opaque (possibly pseudonymous) address plus a transport hint."""
 
     address: str
     transport: str = "tcp"
-
-
-@dataclass
-class AccountRecord:
-    canonical_id: str
-    endpoints: Set[ResponderEndpoint] = field(default_factory=set)
-    created: float = 0.0
-    updated: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -106,25 +98,15 @@ class Ack:
 
 @dataclass
 class ConsentState:
-    token: str
     account: str
     expires_at: float
-    window: float
 
 
 @dataclass
 class _Window:
-    account: str
     window_id: str
     expires_at: float
-    plans: Dict[int, "FanoutPlan"] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class FanoutPlan:
-    account: str
-    chosen: Tuple[ResponderEndpoint, ...]
-    sticky_key: str
+    plans: Dict[int, Tuple[ResponderEndpoint, ...]] = field(default_factory=dict)
 
 
 class AuditVerdict(enum.Enum):
@@ -145,11 +127,15 @@ class Directory:
     ``transport`` delivers one query to one endpoint within a timeout and
     returns the reply (raising ``InvalidCiphertextError`` when the
     responder rejected the query, ``TimeoutError`` or any other exception
-    on other failures).  Registry and flag changes are appended to a
-    JSON-lines log under ``state_dir`` when given, with a snapshot
-    swapped in on ``close``; both are replayed on startup, dropping a
-    torn last log line.  Any other line or snapshot that does not replay
-    raises ``StateError``.  Queries are not logged.
+    on other failures).
+
+    With ``state_dir``, registry and flag changes are appended to its one
+    state file, ``events.jsonl``.  Construction replays the file's complete
+    lines (a torn last line never counted), then swaps in a rewrite holding
+    only the live state: one ``register`` line per (account, endpoint) and
+    one ``flag`` line per flagged endpoint.  A line that does not replay,
+    or a ``snapshot.json`` left by an older version, raises ``StateError``.
+    Queries are not logged, and ``close`` writes nothing.
     """
 
     def __init__(self, transport: Optional[Transport] = None, *,
@@ -170,56 +156,52 @@ class Directory:
         self.clock = clock
         self._rng = rng or random.SystemRandom()
         self._lock = threading.RLock()
-        self._accounts: Dict[str, AccountRecord] = {}
+        self._accounts: Dict[str, Set[ResponderEndpoint]] = {}  # never empty sets
         self._tokens: Dict[str, ConsentState] = {}
         self._windows: Dict[str, _Window] = {}
         self._flagged: Set[ResponderEndpoint] = set()
-        self._state_dir = state_dir
         self._log_fh = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
-            try:
-                self._load_state()
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                # Bad JSON or encoding, a missing field, a value of the wrong type.
-                raise StateError(f"state in {state_dir} does not replay: {exc!r}") from exc
-            self._log_fh = open(os.path.join(state_dir, "events.jsonl"), "a")
+            log_path = os.path.join(state_dir, "events.jsonl")
+            self._load_state(log_path)
+            self._compact(log_path)
+            self._log_fh = open(log_path, "a")
 
     # -- registry ---------------------------------------------------------
 
     def register(self, canonical_id: str, endpoint: ResponderEndpoint) -> Ack:
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            now = self.clock()
-            record = self._accounts.get(canonical_id)
-            if record is None:
-                record = AccountRecord(canonical_id, set(), now, now)
-                self._accounts[canonical_id] = record
-            already = endpoint in record.endpoints
-            record.endpoints.add(endpoint)
-            record.updated = now
-            self._log({"op": "register", "account": canonical_id,
-                       "address": endpoint.address, "transport": endpoint.transport})
+            endpoints = self._accounts.setdefault(canonical_id, set())
+            already = endpoint in endpoints
+            endpoints.add(endpoint)
+            self._log("register", endpoint, canonical_id)
             return Ack(warning="endpoint already registered" if already else None)
 
     def deregister(self, canonical_id: str, endpoint: ResponderEndpoint) -> Ack:
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            record = self._accounts.get(canonical_id)
-            if record is None or endpoint not in record.endpoints:
+            if not self._drop(canonical_id, endpoint):
                 return Ack(warning="endpoint was not registered")
-            record.endpoints.discard(endpoint)
-            record.updated = self.clock()
-            self._log({"op": "deregister", "account": canonical_id,
-                       "address": endpoint.address, "transport": endpoint.transport})
+            self._log("deregister", endpoint, canonical_id)
             return Ack()
+
+    def _drop(self, account: str, endpoint: ResponderEndpoint) -> bool:
+        """Unregister; an account left with no endpoint is forgotten."""
+        endpoints = self._accounts.get(account, ())
+        if endpoint not in endpoints:
+            return False
+        endpoints.discard(endpoint)
+        if not endpoints:
+            del self._accounts[account]
+        return True
 
     def responder_count(self, canonical_id: str) -> int:
         """R_a: how many responders hold an account for this identifier."""
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            record = self._accounts.get(canonical_id)
-            return len(record.endpoints) if record else 0
+            return len(self._accounts.get(canonical_id, ()))
 
     # -- consent ----------------------------------------------------------
 
@@ -230,9 +212,7 @@ class Directory:
             now = self.clock()
             self._drop_expired(now)
             token = secrets.token_hex(16)
-            self._tokens[token] = ConsentState(
-                token, canonical_id, now + self.token_ttl, self.window_seconds,
-            )
+            self._tokens[token] = ConsentState(canonical_id, now + self.token_ttl)
             return token
 
     def confirm_consent(self, token: str) -> float:
@@ -247,10 +227,8 @@ class Directory:
             window_id = secrets.token_hex(8)
             # Re-inserted, not updated, so windows stay in expiry order.
             self._windows.pop(state.account, None)
-            self._windows[state.account] = _Window(
-                state.account, window_id, now + state.window
-            )
-            return state.window
+            self._windows[state.account] = _Window(window_id, now + self.window_seconds)
+            return self.window_seconds
 
     def _drop_expired(self, now: float) -> None:
         """Forget expired tokens and windows.
@@ -276,27 +254,22 @@ class Directory:
 
     # -- fan-out ----------------------------------------------------------
 
-    def _plan(self, window: _Window, account: str, rho: int) -> FanoutPlan:
-        record = self._accounts.get(account)
-        eligible = sorted(
-            (ep for ep in (record.endpoints if record else ())
-             if ep not in self._flagged),
-            key=lambda ep: (ep.address, ep.transport),
-        )
+    def _plan(self, window: _Window, account: str,
+              rho: int) -> Tuple[ResponderEndpoint, ...]:
+        eligible = sorted(ep for ep in self._accounts.get(account, ())
+                          if ep not in self._flagged)
         if rho > len(eligible):
             raise InsufficientRespondersError(
                 f"{len(eligible)} responders registered, {rho} requested"
             )
-        plan = window.plans.get(rho)
-        if plan is None:
+        chosen = window.plans.get(rho)
+        if chosen is None:
             sticky_key = hashlib.sha256(
                 f"{account}|{window.window_id}|{rho}".encode()
             ).hexdigest()
             picker = random.Random(int(sticky_key, 16))
-            chosen = tuple(picker.sample(eligible, rho))
-            plan = FanoutPlan(account, chosen, sticky_key)
-            window.plans[rho] = plan
-        return plan
+            chosen = window.plans[rho] = tuple(picker.sample(eligible, rho))
+        return chosen
 
     def fanout(self, query, rho: int) -> list:
         """Forward a query to rho sticky-chosen responders; permute replies.
@@ -317,9 +290,9 @@ class Directory:
         account = canonicalize(query.account_id)
         with self._lock:
             window = self._open_window(account)
-            plan = self._plan(window, account, rho)
-        responses, rejected = self._collect(plan.chosen, query)
-        if rejected and rejected == len(plan.chosen):
+            chosen = self._plan(window, account, rho)
+        responses, rejected = self._collect(chosen, query)
+        if rejected and rejected == len(chosen):
             raise InvalidCiphertextError("every chosen responder rejected the query")
         self._rng.shuffle(responses)
         return responses
@@ -398,8 +371,7 @@ class Directory:
         if plaintext == keypair.group.identity:
             with self._lock:
                 self._flagged.add(endpoint)
-            self._log({"op": "flag", "address": endpoint.address,
-                       "transport": endpoint.transport})
+                self._log("flag", endpoint)
             return AuditVerdict.LYING
         return AuditVerdict.HONEST
 
@@ -409,84 +381,73 @@ class Directory:
 
     # -- persistence ------------------------------------------------------
 
-    def _log(self, event: dict) -> None:
+    def _log(self, op: str, endpoint: ResponderEndpoint,
+             account: Optional[str] = None) -> None:
+        """Append one event; callers hold ``_lock``, so lines never interleave."""
         if self._log_fh is not None:
-            event = dict(event, ts=self.clock())
-            self._log_fh.write(json.dumps(event) + "\n")
+            self._log_fh.write(_event_line(op, endpoint, account, self.clock()))
             self._log_fh.flush()
 
-    def _snapshot_payload(self) -> dict:
-        return {
-            "accounts": {
-                account: sorted(
-                    [ep.address, ep.transport] for ep in record.endpoints
-                )
-                for account, record in self._accounts.items()
-            },
-            "flagged": sorted(
-                [ep.address, ep.transport] for ep in self._flagged
-            ),
-        }
-
     def close(self) -> None:
-        if self._state_dir is None:
-            return
-        snap_path = os.path.join(self._state_dir, "snapshot.json")
-        try:
-            # A crash leaves either the old snapshot or the new one, never half.
-            with open(snap_path + ".tmp", "w") as fh:
-                json.dump(self._snapshot_payload(), fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(snap_path + ".tmp", snap_path)
-        finally:
-            if self._log_fh is not None:
-                self._log_fh.close()
-                self._log_fh = None
-        # The log is folded into the snapshot; start the next run clean.
-        open(os.path.join(self._state_dir, "events.jsonl"), "w").close()
+        if self._log_fh is not None:
+            self._log_fh.close()
+            self._log_fh = None
 
-    def _load_state(self) -> None:
-        snap_path = os.path.join(self._state_dir, "snapshot.json")
-        if os.path.exists(snap_path):
-            with open(snap_path) as fh:
-                snap = json.load(fh)
-            for account, endpoints in snap.get("accounts", {}).items():
-                record = AccountRecord(account, set(), self.clock(), self.clock())
-                for address, transport in endpoints:
-                    record.endpoints.add(ResponderEndpoint(address, transport))
-                self._accounts[account] = record
-            for address, transport in snap.get("flagged", []):
-                self._flagged.add(ResponderEndpoint(address, transport))
-        log_path = os.path.join(self._state_dir, "events.jsonl")
-        if os.path.exists(log_path):
-            with open(log_path, "rb+") as fh:
-                data = fh.read()
-                # An event counts once its newline is on disk.  Cut a torn
-                # last line, so the next event does not land on its tail.
-                complete = data.rfind(b"\n") + 1
-                if complete < len(data):
-                    fh.truncate(complete)
-            for line in data[:complete].splitlines():
-                if line.strip():
-                    self._replay(json.loads(line))
+    def _load_state(self, log_path: str) -> None:
+        snapshot = os.path.join(os.path.dirname(log_path), "snapshot.json")
+        if os.path.exists(snapshot):
+            raise StateError(f"{snapshot} is from an older version and is not read; "
+                             f"only events.jsonl holds state")
+        if not os.path.exists(log_path):
+            return
+        with open(log_path, "rb") as fh:
+            data = fh.read()
+        # An event counts once its newline is on disk; a torn last line is
+        # left out here and so dropped by the rewrite.
+        for line in data[:data.rfind(b"\n") + 1].splitlines():
+            if not line.strip():
+                continue
+            try:
+                self._replay(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                # Bad JSON or encoding, a missing field, a value of the wrong
+                # type, a nesting too deep to parse.
+                raise StateError(f"{log_path} does not replay: {exc!r}") from exc
 
     def _replay(self, event: dict) -> None:
         op = event.get("op")
-        if op == "register":
-            ep = ResponderEndpoint(event["address"], event["transport"])
-            record = self._accounts.setdefault(
-                event["account"],
-                AccountRecord(event["account"], set(), event["ts"], event["ts"]),
-            )
-            record.endpoints.add(ep)
-        elif op == "deregister":
-            record = self._accounts.get(event["account"])
-            if record is not None:
-                record.endpoints.discard(
-                    ResponderEndpoint(event["address"], event["transport"])
-                )
-        elif op == "flag":
-            self._flagged.add(
-                ResponderEndpoint(event["address"], event["transport"])
-            )
+        if op not in ("register", "deregister", "flag"):
+            return
+        keys = ("address", "transport") + (() if op == "flag" else ("account",))
+        if not all(isinstance(event[key], str) for key in keys):
+            raise TypeError(f"a {op} event with a field that is not a string")
+        endpoint = ResponderEndpoint(event["address"], event["transport"])
+        if op == "flag":
+            self._flagged.add(endpoint)
+        elif op == "register":
+            self._accounts.setdefault(event["account"], set()).add(endpoint)
+        else:
+            self._drop(event["account"], endpoint)
+
+    def _compact(self, log_path: str) -> None:
+        """Replace the log with the live state, written whole before the swap."""
+        now = self.clock()
+        tmp = log_path + ".tmp"
+        with open(tmp, "w") as fh:
+            for account, endpoints in self._accounts.items():
+                fh.writelines(_event_line("register", ep, account, now)
+                              for ep in sorted(endpoints))
+            fh.writelines(_event_line("flag", ep, None, now)
+                          for ep in sorted(self._flagged))
+            fh.flush()
+            os.fsync(fh.fileno())
+        # A crash leaves either the old log or the new one, never half.
+        os.replace(tmp, log_path)
+
+
+def _event_line(op: str, endpoint: ResponderEndpoint, account: Optional[str],
+                ts: float) -> str:
+    """One ``events.jsonl`` line; a ``flag`` event names no account."""
+    event = {"op": op} if account is None else {"op": op, "account": account}
+    return json.dumps(dict(event, address=endpoint.address,
+                           transport=endpoint.transport, ts=ts)) + "\n"

@@ -50,4 +50,7 @@ class TransportError(ReuseGuardError):
 
 
 class StateError(ReuseGuardError):
-    """A persisted state file (event log or snapshot) does not replay."""
+    """A persisted state file does not decode.
+
+    That is the directory's event log or a responder's similar-set store.
+    """

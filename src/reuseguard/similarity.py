@@ -17,6 +17,8 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from .errors import StateError
+
 DIGEST_BYTES = 32
 
 _STORE_MAGIC = b"RGSS"
@@ -324,22 +326,23 @@ def save_similar_set(sset: SimilarSet, path: str) -> None:
 
 
 def load_similar_set(path: str) -> SimilarSet:
+    """Read a ``save_similar_set`` file; anything else raises ``StateError``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _STORE_MAGIC:
-        raise ValueError("not a similar-set store")
-    version, alen = struct.unpack(">BH", data[4:7])
-    if version != _STORE_VERSION:
-        raise ValueError(f"unsupported store version {version}")
-    off = 7
-    account = data[off:off + alen].decode()
-    off += alen
-    d, cap, count = struct.unpack(">HII", data[off:off + 10])
-    off += 10
-    entries = tuple(
-        data[off + i * DIGEST_BYTES: off + (i + 1) * DIGEST_BYTES]
-        for i in range(count)
-    )
-    if len(entries) != count or (entries and len(entries[-1]) != DIGEST_BYTES):
-        raise ValueError("truncated similar-set store")
+    try:
+        if data[:4] != _STORE_MAGIC:
+            raise ValueError("not a similar-set store")
+        version, alen = struct.unpack_from(">BH", data, 4)
+        if version != _STORE_VERSION:
+            raise ValueError(f"unsupported store version {version}")
+        off = 7 + alen
+        account = data[7:off].decode()
+        d, cap, count = struct.unpack_from(">HII", data, off)
+        off += 10
+        if len(data) != off + count * DIGEST_BYTES:
+            raise ValueError(f"{len(data)} bytes where the header implies "
+                             f"{off + count * DIGEST_BYTES}")
+    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+        raise StateError(f"{path}: {exc}") from exc
+    entries = tuple(data[i:i + DIGEST_BYTES] for i in range(off, len(data), DIGEST_BYTES))
     return SimilarSet(account, entries, d, cap)

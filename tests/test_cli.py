@@ -6,8 +6,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from reuseguard import bench, planner, similarity
-from reuseguard.cli import planner_main, requester_main
+from reuseguard.cli import planner_main, requester_main, responder_main
 from reuseguard.directory import Directory, ResponderEndpoint
 from reuseguard.netnodes import ResponderStore, make_tcp_responder_transport, serve_directory
 
@@ -67,6 +69,25 @@ def test_planner_fit_rejects_a_non_finite_time(tmp_path, capsys):
     path.write_text("\n".join(rows) + "\n")
     assert planner_main(["fit", "--csv", str(path)]) == 1
     assert "fit failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "",
+    "1,2\n",
+    "rho,n,phase\n1,8,round_trip\n",
+], ids=["empty", "short-row", "bench-without-time"])
+def test_planner_fit_reports_a_malformed_csv(tmp_path, capsys, content):
+    path = tmp_path / "samples.csv"
+    path.write_text(content)
+    assert planner_main(["fit", "--csv", str(path)]) == 1
+    assert "fit failed" in capsys.readouterr().err
+
+
+def test_responder_refuses_a_malformed_store(tmp_path, capsys):
+    path = tmp_path / "bad.simset"
+    path.write_bytes(b"RGSS\x01")
+    assert responder_main(["--store", str(path), "--listen", "127.0.0.1:0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_package_and_planner_fit_run_without_numpy(tmp_path):

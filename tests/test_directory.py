@@ -1,11 +1,14 @@
 import json
+import os
 import random
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from reuseguard import elgamal, groups, protocol, similarity
+from reuseguard import directory, elgamal, groups, protocol, similarity
 from reuseguard.directory import (
     AuditVerdict,
     Directory,
@@ -447,29 +450,75 @@ def test_torn_last_log_line_is_dropped(tmp_path):
     d2.close()
 
 
-def test_failed_snapshot_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
+def test_failed_rewrite_keeps_the_old_log(tmp_path, monkeypatch):
     state = tmp_path / "dstate"
     d = Directory(None, state_dir=str(state))
     d.register(ACCOUNT, ResponderEndpoint("a:1"))
+    d.register(ACCOUNT, ResponderEndpoint("a:1"))  # a rewrite would drop a line
     d.close()
-    before = (state / "snapshot.json").read_bytes()
+    before = (state / "events.jsonl").read_bytes()
+    opened = []
 
-    def torn_dump(obj, fh):
-        fh.write('{"accounts": {')
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    def disk_full(*args):
         raise OSError("disk full")
 
+    monkeypatch.setattr(directory, "open", tracking_open, raising=False)
+    for name in ("fsync", "replace"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                Directory(None, state_dir=str(state))
+        assert (state / "events.jsonl").read_bytes() == before
+        assert opened and all(fh.closed for fh in opened)
     d2 = Directory(None, state_dir=str(state))
-    d2.register(ACCOUNT, ResponderEndpoint("b:1"))
-    log_fh = d2._log_fh
-    monkeypatch.setattr(json, "dump", torn_dump)
-    with pytest.raises(OSError):
-        d2.close()
-    monkeypatch.undo()
-    assert log_fh.closed
-    assert (state / "snapshot.json").read_bytes() == before
-    d3 = Directory(None, state_dir=str(state))
-    assert d3.responder_count(ACCOUNT) == 2
-    d3.close()
+    assert d2.responder_count(ACCOUNT) == 1
+    d2.close()
+
+
+def test_restart_without_close_compacts_the_log(tmp_path):
+    state = tmp_path / "dstate"
+    d = Directory(None, state_dir=str(state))
+    for _ in range(50):
+        d.register(ACCOUNT, ResponderEndpoint("keep:1"))
+    d.register("other@example.com", ResponderEndpoint("gone:1"))
+    d.deregister("other@example.com", ResponderEndpoint("gone:1"))
+    registry = {account: set(eps) for account, eps in d._accounts.items()}
+    # No close(): the first directory died.
+    d2 = Directory(None, state_dir=str(state))
+    lines = (state / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["op"] for line in lines] == ["register"]
+    assert d2._accounts == registry
+    compacted = (state / "events.jsonl").read_bytes()
+    d.close()
+    d2.close()
+    assert os.listdir(state) == ["events.jsonl"]
+    assert (state / "events.jsonl").read_bytes() == compacted  # close wrote nothing
+
+
+def test_every_event_is_logged_under_the_lock():
+    def rigged(endpoint, query, timeout):
+        return protocol.ResponseMessage(
+            elgamal.encrypt(query.pk, query.pk.group.identity))
+
+    d = Directory(rigged, rng=random.Random(13))
+    held = []
+    log = d._log
+
+    def checked_log(*args, **kwargs):
+        held.append(d._lock._is_owned())
+        return log(*args, **kwargs)
+
+    d._log = checked_log
+    ep = ResponderEndpoint("liar:1")
+    d.register(ACCOUNT, ep)
+    d.deregister(ACCOUNT, ep)
+    assert d.audit_responder(ep) is AuditVerdict.LYING
+    assert held == [True, True, True]
 
 
 _WHOLE_EVENT = json.dumps({"op": "register", "account": ACCOUNT, "address": "a:1",
@@ -487,6 +536,108 @@ def test_state_that_does_not_replay_raises_state_error(tmp_path, name, content):
     (state / name).write_text(content)
     with pytest.raises(StateError):
         Directory(None, state_dir=str(state))
+
+
+def test_old_snapshot_is_refused_by_name(tmp_path):
+    state = tmp_path / "dstate"
+    state.mkdir()
+    (state / "snapshot.json").write_text('{"accounts": {}, "flagged": []}')
+    with pytest.raises(StateError, match="snapshot.json"):
+        Directory(None, state_dir=str(state))
+
+
+@pytest.mark.parametrize("content", [
+    # Replayed, this endpoint would sort an int against a str.
+    json.dumps({"op": "register", "account": ACCOUNT, "address": 1,
+                "transport": "tcp", "ts": 1.0}) + "\n" + _WHOLE_EVENT,
+    "[" * 100_000 + "\n",
+], ids=["int-address", "deep-nesting"])
+def test_untyped_replay_failures_raise_state_error(tmp_path, content):
+    state = tmp_path / "dstate"
+    state.mkdir()
+    (state / "events.jsonl").write_text(content)
+    with pytest.raises(StateError):
+        Directory(None, state_dir=str(state))
+
+
+def _fold(events):
+    """Reference replay: the registry and flags a list of events leaves."""
+    accounts, flagged = {}, set()
+    for event in events:
+        ep = ResponderEndpoint(event.get("address"), event.get("transport"))
+        if event["op"] == "register":
+            accounts.setdefault(event["account"], set()).add(ep)
+        elif event["op"] == "deregister":
+            accounts[event["account"]].discard(ep)
+            if not accounts[event["account"]]:
+                del accounts[event["account"]]
+        elif event["op"] == "flag":
+            flagged.add(ep)
+    return accounts, flagged
+
+
+def test_log_cut_at_any_byte_replays_its_complete_lines(tmp_path):
+    events = [
+        {"op": "register", "account": ACCOUNT, "address": "a:1", "transport": "tcp"},
+        {"op": "register", "account": ACCOUNT, "address": "b:1", "transport": "udp"},
+        {"op": "register", "account": "o@example.com", "address": "c:1",
+         "transport": "tcp"},
+        {"op": "fanout", "account": ACCOUNT, "rho": 1},  # written by older versions
+        {"op": "deregister", "account": ACCOUNT, "address": "a:1", "transport": "tcp"},
+        {"op": "flag", "address": "b:1", "transport": "udp"},
+        {"op": "deregister", "account": "o@example.com", "address": "c:1",
+         "transport": "tcp"},
+    ]
+    data = "".join(json.dumps(dict(e, ts=1.5)) + "\n" for e in events).encode()
+    state = tmp_path / "dstate"
+    state.mkdir()
+    for cut in range(len(data) + 1):
+        (state / "events.jsonl").write_bytes(data[:cut])
+        d = Directory(None, state_dir=str(state))
+        accounts, flagged = _fold(events[:data[:cut].count(b"\n")])
+        assert (d._accounts, d.flagged) == (accounts, flagged), cut
+        d.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_EVENTS = st.fixed_dictionaries({
+    "op": st.sampled_from(["register", "deregister", "flag", "fanout"]) | _JSON,
+    "account": st.sampled_from([ACCOUNT, "o@example.com"]) | _JSON,
+    "address": st.sampled_from(["a:1", "b:1"]) | _JSON,
+    "transport": st.just("tcp") | _JSON,
+    "ts": st.floats(0, 1e9),
+})
+_LOG_LINES = st.lists(_EVENTS | _JSON, max_size=6).map(
+    lambda events: "".join(json.dumps(e) + "\n" for e in events).encode())
+_LOG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    _LOG_LINES,
+    st.tuples(_LOG_LINES, st.binary(max_size=20), _LOG_LINES).map(b"".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_LOG_BYTES)
+def test_any_event_log_replays_or_raises_state_error(data):
+    with tempfile.TemporaryDirectory() as state:
+        with open(os.path.join(state, "events.jsonl"), "wb") as fh:
+            fh.write(data)
+        try:
+            d = Directory(None, state_dir=state)
+        except StateError:
+            return
+        registry = ({a: set(eps) for a, eps in d._accounts.items()}, d.flagged)
+        d.close()
+        # The rewrite replays to the same state.
+        d2 = Directory(None, state_dir=state)
+        assert (d2._accounts, d2.flagged) == registry
+        d2.close()
 
 
 def test_replay_from_log_without_snapshot(tmp_path):

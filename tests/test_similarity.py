@@ -1,9 +1,14 @@
+import os
+import struct
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from reuseguard import similarity
+from reuseguard.errors import StateError
 from reuseguard.similarity import (
     CHEAP_HASH_PARAMS,
     DEFAULT_HASH_PARAMS,
@@ -176,8 +181,64 @@ def test_store_roundtrip(tmp_path):
 def test_store_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.simset"
     path.write_bytes(b"not a store at all")
-    with pytest.raises(ValueError):
+    with pytest.raises(StateError):
         load_similar_set(str(path))
+
+
+def _store_bytes(account=b"a@b.com", count=2, digests=None):
+    """A store file's bytes, built by hand so the header can lie."""
+    if digests is None:
+        digests = bytes(range(32)) * count
+    return (b"RGSS" + struct.pack(">BH", 1, len(account)) + account
+            + struct.pack(">HII", 0, 8, count) + digests)
+
+
+def test_hand_built_store_matches_save_similar_set(tmp_path):
+    sset = SimilarSet("a@b.com", (bytes(range(32)),) * 2, 0, 8)
+    path = tmp_path / "account.simset"
+    save_similar_set(sset, str(path))
+    assert path.read_bytes() == _store_bytes()
+
+
+@pytest.mark.parametrize("data", [
+    b"RGSS\x01",  # too short for the header
+    _store_bytes(account=b"\xff\xfe@b.com"),  # account is not UTF-8
+    _store_bytes() + b"\x00",  # trailing byte
+    _store_bytes()[:-1],  # truncated digest
+    _store_bytes(count=2 ** 32 - 1, digests=b""),  # count far beyond the file
+], ids=["short-header", "non-utf8-account", "trailing-byte", "truncated", "huge-count"])
+def test_malformed_store_raises_state_error(tmp_path, data):
+    path = tmp_path / "bad.simset"
+    path.write_bytes(data)
+    with pytest.raises(StateError):
+        load_similar_set(str(path))
+
+
+def _mutations(valid):
+    """Truncations, extensions and byte overwrites of a valid store."""
+    return st.one_of(
+        st.integers(0, len(valid) - 1).map(lambda cut: valid[:cut]),
+        st.binary(min_size=1, max_size=40).map(lambda tail: valid + tail),
+        st.tuples(st.integers(0, len(valid) - 1), st.binary(min_size=1, max_size=4)).map(
+            lambda m: valid[:m[0]] + m[1] + valid[m[0] + len(m[1]):]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), _mutations(_store_bytes())))
+def test_any_store_bytes_load_or_raise_state_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.simset")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            sset = load_similar_set(path)
+        except StateError:
+            return
+        # What loads is exactly one store: saving it gives the same bytes.
+        save_similar_set(sset, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == data
 
 
 def test_similar_set_is_immutable():
