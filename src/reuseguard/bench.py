@@ -12,12 +12,11 @@ qualifying threshold.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import bloom, protocol, similarity, wire
+from . import protocol, similarity, wire
 from .directory import Directory, ResponderEndpoint
 from .groups import CURVES
 from .netnodes import (
@@ -29,6 +28,12 @@ from .netnodes import (
 
 CSV_FIELDS = ("rho", "n", "curve", "phase", "time_s", "msg_bytes")
 
+# Every scenario queries for one account whose responders each store the
+# derivatives of its password, hashed at the cheap cost, with no decoys.
+ACCOUNT = "bench@example.com"
+PASSWORD = "benchmark1"
+HASH_PARAMS = similarity.CHEAP_HASH_PARAMS
+
 
 @dataclass(frozen=True)
 class BenchScenario:
@@ -36,13 +41,8 @@ class BenchScenario:
     n_values: Tuple[int, ...] = (1, 8)
     rho_values: Tuple[int, ...] = (1, 4)
     rounds: int = 3
-    k: int = bloom.DEFAULT_NUM_HASHES
     profile: Optional[LatencyProfile] = None
     qualifying_threshold_s: float = 5.0
-    d: int = 0
-    hash_params: similarity.SlowHashParams = similarity.CHEAP_HASH_PARAMS
-    account: str = "bench@example.com"
-    password: str = "benchmark1"
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,11 @@ class BenchRecord:
     msg_bytes: int
 
 
-def _build_stores(scenario: BenchScenario, n: int, count: int
-                  ) -> Dict[str, ResponderStore]:
+def _build_stores(n: int, count: int) -> Dict[str, ResponderStore]:
     stores: Dict[str, ResponderStore] = {}
     for i in range(count):
-        sset = similarity.build_similar_set(
-            scenario.account, scenario.password, scenario.d,
-            max(n, scenario.d + 1), scenario.hash_params, rng_seed=i)
+        sset = similarity.build_similar_set(ACCOUNT, PASSWORD, 0, n, HASH_PARAMS,
+                                            rng_seed=i)
         store = ResponderStore()
         store.add(sset)
         stores[f"bench-{i}"] = store
@@ -73,14 +71,14 @@ def bench_run(scenario: BenchScenario) -> List[BenchRecord]:
     records: List[BenchRecord] = []
     max_rho = max(scenario.rho_values)
     for n in scenario.n_values:
-        stores = _build_stores(scenario, n, max_rho)
+        stores = _build_stores(n, max_rho)
         transport = make_inprocess_responder_transport(stores, scenario.profile)
         directory = Directory(
             transport, window_seconds=86400.0,
             per_responder_timeout=max(scenario.qualifying_threshold_s * 4, 30.0))
         for address in stores:
-            directory.register(scenario.account, ResponderEndpoint(address))
-        token = directory.begin_consent(scenario.account)
+            directory.register(ACCOUNT, ResponderEndpoint(address))
+        token = directory.begin_consent(ACCOUNT)
         directory.confirm_consent(token)
 
         first_store = next(iter(stores.values()))
@@ -90,8 +88,7 @@ def bench_run(scenario: BenchScenario) -> List[BenchRecord]:
             for _ in range(scenario.rounds):
                 t0 = time.perf_counter()
                 query, session = protocol.build_query(
-                    scenario.account, scenario.password, n, group=group,
-                    k=scenario.k, hash_params=scenario.hash_params)
+                    ACCOUNT, PASSWORD, n, group=group, hash_params=HASH_PARAMS)
                 payload = wire.encode_query(query)
                 t_build = time.perf_counter() - t0
                 msg_bytes = len(payload)
@@ -141,12 +138,6 @@ def write_csv(records: Sequence[BenchRecord], fh) -> None:
     for r in records:
         writer.writerow([r.rho, r.n, r.curve, r.phase,
                          f"{r.time_s:.6f}", r.msg_bytes])
-
-
-def records_to_csv(records: Sequence[BenchRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
 
 
 def read_fit_samples(fh) -> List[Tuple[float, float, float]]:

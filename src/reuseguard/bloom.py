@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import secrets
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
@@ -33,10 +32,6 @@ class BloomParams:
             raise ValueError("filter shorter than the number of hashes")
 
 
-def fresh_params(length_ell: int, num_hashes_k: int = DEFAULT_NUM_HASHES) -> BloomParams:
-    return BloomParams(length_ell, num_hashes_k, secrets.token_bytes(SEED_BYTES))
-
-
 def indices(params: BloomParams, item: bytes) -> FrozenSet[int]:
     """The index set {h_i(item)} for i in [k]; at most k indices."""
     out = set()
@@ -55,13 +50,6 @@ def index_union(params: BloomParams, items: Iterable[bytes]) -> FrozenSet[int]:
     for item in items:
         out |= indices(params, item)
     return frozenset(out)
-
-
-def optimal_k(ell: int, n: int) -> int:
-    """Hash count minimizing the false positive rate, at least 1."""
-    if ell < 1 or n < 1:
-        raise ValueError("ell and n must be positive")
-    return max(1, math.floor((ell / n) * math.log(2) + 0.5))
 
 
 def length_for(n: int, k: int) -> int:

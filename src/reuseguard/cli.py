@@ -48,13 +48,17 @@ def planner_main(argv=None) -> int:
 
     if args.command == "optimize":
         model = planner.REFERENCE_MODELS[args.model]
-        if args.coeffs:
-            with open(args.coeffs) as fh:
-                model = planner.parse_coeffs_file(fh.read())
         curve = planner.DEFAULT_REUSE_CURVE
-        if args.curve:
-            with open(args.curve) as fh:
-                curve = planner.parse_curve_file(fh.read())
+        try:
+            if args.coeffs:
+                with open(args.coeffs) as fh:
+                    model = planner.parse_coeffs_file(fh.read())
+            if args.curve:
+                with open(args.curve) as fh:
+                    curve = planner.parse_curve_file(fh.read())
+        except (OSError, ValueError) as exc:  # a missing or malformed file
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         try:
             plan = planner.optimize(args.t_goal, args.responders, args.d,
                                     model, curve)
@@ -71,7 +75,7 @@ def planner_main(argv=None) -> int:
         try:
             with open(args.csv) as fh:
                 model = planner.fit_model(bench.read_fit_samples(fh))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"fit failed: {exc}", file=sys.stderr)
             return 1
         for name in ("c0", "c1", "c2", "c3"):
@@ -110,7 +114,7 @@ def responder_main(argv=None) -> int:
 
     try:
         store = ResponderStore.load(args.store)
-    except ReuseGuardError as exc:
+    except (ReuseGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     server = serve_responder(store, args.listen)
@@ -207,12 +211,16 @@ def directoryd_main(argv=None) -> int:
 
     profile = PROFILES[args.profile]
     transport_profile = profile if args.profile == "untrusted" else None
-    directory = Directory(
-        make_tcp_responder_transport(transport_profile),
-        window_seconds=args.window_seconds,
-        per_responder_timeout=TIMEOUT_PROFILES[args.profile],
-        early_return_fraction=args.early_return_fraction,
-        state_dir=args.state_dir)
+    try:
+        directory = Directory(
+            make_tcp_responder_transport(transport_profile),
+            window_seconds=args.window_seconds,
+            per_responder_timeout=TIMEOUT_PROFILES[args.profile],
+            early_return_fraction=args.early_return_fraction,
+            state_dir=args.state_dir)
+    except (ReuseGuardError, OSError) as exc:  # a state dir that does not load
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     server = serve_directory(directory, args.listen)
     print(f"directory listening on {server.address} (profile={args.profile})", flush=True)
     try:

@@ -50,7 +50,7 @@ GMAIL_DOMAINS = {"gmail.com", "googlemail.com"}
 _33MAIL_SUFFIX = ".33mail.com"
 
 DEFAULT_WINDOW_SECONDS = 60.0
-DEFAULT_TOKEN_TTL_SECONDS = 600.0
+TOKEN_TTL_SECONDS = 600.0  # a consent token unredeemed this long expires
 TIMEOUT_PROFILES = {"trusted": 2.0, "untrusted": 8.0}
 MAX_WORKERS = 8  # responders queried at once by one fan-out
 
@@ -140,7 +140,6 @@ class Directory:
 
     def __init__(self, transport: Optional[Transport] = None, *,
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 token_ttl: float = DEFAULT_TOKEN_TTL_SECONDS,
                  per_responder_timeout: float = TIMEOUT_PROFILES["trusted"],
                  early_return_fraction: Optional[float] = None,
                  state_dir: Optional[str] = None,
@@ -149,7 +148,6 @@ class Directory:
                  rng: Optional[random.Random] = None):
         self.transport = transport
         self.window_seconds = window_seconds
-        self.token_ttl = token_ttl
         self.per_responder_timeout = per_responder_timeout
         self.early_return_fraction = early_return_fraction
         self.audit_group = audit_group
@@ -212,7 +210,7 @@ class Directory:
             now = self.clock()
             self._drop_expired(now)
             token = secrets.token_hex(16)
-            self._tokens[token] = ConsentState(canonical_id, now + self.token_ttl)
+            self._tokens[token] = ConsentState(canonical_id, now + TOKEN_TTL_SECONDS)
             return token
 
     def confirm_consent(self, token: str) -> float:

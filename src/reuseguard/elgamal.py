@@ -1,12 +1,11 @@
 """Multiplicatively homomorphic ElGamal over a prime-order group.
 
 The scheme is the usual tuple of algorithms: key generation, randomized
-encryption, decryption that rejects anything outside the ciphertext space,
-and a rerandomizing homomorphic multiplication.  ``hexp`` raises a
-ciphertext to a scalar power; it exponentiates the two components directly
-and applies a single fresh rerandomization at the end, which yields the
-same output distribution as rerandomizing every step at a fraction of the
-group operations.
+encryption, and decryption that rejects anything outside the ciphertext
+space.  ``hexp`` raises a ciphertext to a scalar power; it exponentiates
+the two components directly and applies a single fresh rerandomization at
+the end, which yields the same output distribution as rerandomizing every
+step at a fraction of the group operations.
 
 The holder of the secret key u can encrypt without the public key's
 powers: the encryption of g^r under randomness x is (g^x, g^r * U^x) =
@@ -128,21 +127,6 @@ def rerandomize(pk: PublicKey, c: Ciphertext, rng=None) -> Ciphertext:
     )
 
 
-def hmul(pk: PublicKey, c1: Ciphertext, c2: Ciphertext, rng=None) -> Optional[Ciphertext]:
-    """Homomorphic product, uniform in the class of the plaintext product.
-
-    Returns (X1 X2 g^y, Y1 Y2 U^y) for fresh y, or None when either input
-    fails validation.
-    """
-    if not (validate_ciphertext(pk, c1) and validate_ciphertext(pk, c2)):
-        return None
-    group = pk.group
-    raw = Ciphertext(
-        group.mul(c1.ephemeral, c2.ephemeral), group.mul(c1.body, c2.body)
-    )
-    return rerandomize(pk, raw, rng)
-
-
 def hexp(pk: PublicKey, c: Ciphertext, z: int, rng=None) -> Optional[Ciphertext]:
     """Homomorphic exponentiation: a uniform ciphertext of m^z.
 
@@ -155,9 +139,4 @@ def hexp(pk: PublicKey, c: Ciphertext, z: int, rng=None) -> Optional[Ciphertext]
     z %= group.order
     raw = Ciphertext(group.exp(c.ephemeral, z), group.exp(c.body, z))
     return rerandomize(pk, raw, rng)
-
-
-def random_element(group, rng=None):
-    """Uniform group element (the $(G) sampler)."""
-    return group.random_element(rng)
 

@@ -118,34 +118,6 @@ def _jac_double(P, p, a):
     return (X3, Y3, Z3)
 
 
-def _jac_add(P, Q, p, a):
-    X1, Y1, Z1 = P
-    X2, Y2, Z2 = Q
-    if Z1 == 0:
-        return Q
-    if Z2 == 0:
-        return P
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    U2 = X2 * Z1Z1 % p
-    S1 = Y1 * Z2 % p * Z2Z2 % p
-    S2 = Y2 * Z1 % p * Z1Z1 % p
-    if U1 == U2:
-        if S1 != S2:
-            return _JAC_INFINITY
-        return _jac_double(P, p, a)
-    H = (U2 - U1) % p
-    HH = H * H % p
-    HHH = H * HH % p
-    r = (S2 - S1) % p
-    V = U1 * HH % p
-    X3 = (r * r - HHH - 2 * V) % p
-    Y3 = (r * (V - X3) - S1 * HHH) % p
-    Z3 = Z1 * Z2 % p * H % p
-    return (X3, Y3, Z3)
-
-
 def _jac_add_affine(P, q, p, a):
     """Mixed addition of a Jacobian point and an affine point."""
     if q is None:
@@ -302,15 +274,15 @@ class EllipticCurveGroup:
         return (x, (-y) % self.p)
 
     def exp(self, e: Point, z: int) -> Point:
-        """Scalar multiple z*e via a 4-bit fixed window."""
+        """Scalar multiple z*e via a 4-bit fixed window over an affine table."""
         z %= self.order
         if e is None or z == 0:
             return None
         p, a = self.p, self.a
-        base = (e[0], e[1], 1)
-        table = [_JAC_INFINITY, base]
+        multiples = [(e[0], e[1], 1)]
         for _ in range(14):
-            table.append(_jac_add(table[-1], base, p, a))
+            multiples.append(_jac_add_affine(multiples[-1], e, p, a))
+        table = [None] + _batch_to_affine(multiples, p)  # table[d] = d*e
         acc = _JAC_INFINITY
         for shift in range(4 * ((z.bit_length() + 3) // 4) - 4, -1, -4):
             if acc[2] != 0:
@@ -320,7 +292,7 @@ class EllipticCurveGroup:
                 acc = _jac_double(acc, p, a)
             d = (z >> shift) & 15
             if d:
-                acc = _jac_add(acc, table[d], p, a)
+                acc = _jac_add_affine(acc, table[d], p, a)
         return _jac_to_affine(acc, p)
 
     def product(self, elements: Sequence[Point]) -> Point:
@@ -492,11 +464,3 @@ def enumerable_group(order: int) -> EnumerableGroup:
         _enumerable_groups[order] = EnumerableGroup(order)
     return _enumerable_groups[order]
 
-
-def get_group(name: str):
-    """Look up a group by descriptor name, e.g. ``P192`` or ``TEST(101)``."""
-    if name in CURVES:
-        return CURVES[name]
-    if name.startswith("TEST(") and name.endswith(")"):
-        return enumerable_group(int(name[5:-1]))
-    raise UnsupportedGroupError(f"unknown group {name!r}")

@@ -28,6 +28,7 @@ from .errors import (
     FrameError,
     InsufficientRespondersError,
     InvalidCiphertextError,
+    MalformedAddressError,
     NoResponseError,
     TransportError,
 )
@@ -148,15 +149,21 @@ def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, 
 # Dispatched in place of a frame that could not be read: no opcode has it.
 _UNREADABLE_FRAME = -1
 
+# Longest wait for the next bytes of a request frame.  A client that sends
+# nothing for this long gets the unreadable-frame answer, so an idle
+# connection does not hold a handler thread.
+IDLE_TIMEOUT_S = 10.0
+
 
 class _FrameHandler(socketserver.BaseRequestHandler):
     """Reads one frame and sends back the server's ``dispatch`` of it."""
 
     def handle(self):
+        self.request.settimeout(IDLE_TIMEOUT_S)
         try:
             with self.request.makefile("rb") as reader:
                 opcode, payload = wire.read_frame(reader.read)
-        except FrameError:
+        except (FrameError, socket.timeout):
             opcode, payload = _UNREADABLE_FRAME, b""
         reply = wire.encode_frame(*self.server.dispatch(opcode, payload))
         try:
@@ -256,13 +263,13 @@ def _responder_transport(send, profile: Optional[LatencyProfile], rng):
     return transport
 
 
-def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None, rng=None):
+def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None):
     """Transport delivering queries to responder services over TCP, once each."""
 
     def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
         return tcp_request(endpoint.address, wire.OP_QUERY, payload, timeout)
 
-    return _responder_transport(send, profile, rng)
+    return _responder_transport(send, profile, None)
 
 
 def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
@@ -290,41 +297,21 @@ class DirectoryServer(_FrameServer):
         self.directory = directory
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
-        directory = self.directory
         pad = wire.response_payload_size(P192)
         try:
-            if opcode == wire.OP_REGISTER:
-                account, address, transport = wire.decode_register(payload)
-                ack = directory.register(account, ResponderEndpoint(address, transport))
-                return wire.OP_ACK, wire.encode_ack(ack.ok, ack.warning or "")
-            if opcode == wire.OP_DEREGISTER:
-                account, address, transport = wire.decode_register(payload)
-                ack = directory.deregister(account, ResponderEndpoint(address, transport))
-                return wire.OP_ACK, wire.encode_ack(ack.ok, ack.warning or "")
-            if opcode == wire.OP_BEGIN_CONSENT:
-                token = directory.begin_consent(wire.decode_account(payload))
-                return wire.OP_TOKEN, wire.encode_token(token)
-            if opcode == wire.OP_CONFIRM_CONSENT:
-                seconds = directory.confirm_consent(wire.decode_token(payload))
-                return wire.OP_WINDOW, wire.encode_window(seconds)
-            if opcode == wire.OP_NEGOTIATE:
-                count = directory.responder_count(wire.decode_account(payload))
-                return wire.OP_COUNT, wire.encode_count(count)
-            if opcode == wire.OP_QUERY:
-                # Route on the header; query and reply bytes pass through.
-                rho, query_payload = wire.decode_directory_query(payload)
-                raw = wire.parse_query_header(query_payload)
-                pad = wire.response_payload_size(raw.group)
-                if rho < 1:
+            if opcode != wire.OP_QUERY:
+                try:
+                    return self._coordinate(opcode, payload)
+                except (FrameError, MalformedAddressError):
                     return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
-                return wire.OP_RESPONSES, wire.encode_responses(
-                    directory.fanout(raw, rho))
-            if opcode == wire.OP_AUDIT:
-                account_unused, address, transport = wire.decode_register(payload)
-                verdict = directory.audit_responder(
-                    ResponderEndpoint(address, transport))
-                return wire.OP_VERDICT, wire.encode_verdict(verdict.value)
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
+            # Route on the header; query and reply bytes pass through.
+            rho, query_payload = wire.decode_directory_query(payload)
+            raw = wire.parse_query_header(query_payload)
+            pad = wire.response_payload_size(raw.group)
+            if rho < 1:
+                return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
+            return wire.OP_RESPONSES, wire.encode_responses(
+                self.directory.fanout(raw, rho))
         except (ConsentRequiredError, ConsentTokenError):
             return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
         except InsufficientRespondersError:
@@ -335,6 +322,31 @@ class DirectoryServer(_FrameServer):
         except Exception:
             return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, pad)
 
+    def _coordinate(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
+        """A request other than a query.  A payload that does not decode
+        raises ``FrameError``, an account that is no email address
+        ``MalformedAddressError``."""
+        directory = self.directory
+        if opcode in (wire.OP_REGISTER, wire.OP_DEREGISTER):
+            account, address, transport = wire.decode_register(payload)
+            change = directory.register if opcode == wire.OP_REGISTER else directory.deregister
+            ack = change(account, ResponderEndpoint(address, transport))
+            return wire.OP_ACK, wire.encode_ack(ack.ok, ack.warning or "")
+        if opcode == wire.OP_BEGIN_CONSENT:
+            token = directory.begin_consent(wire.decode_text(payload))
+            return wire.OP_TOKEN, wire.encode_text(token)
+        if opcode == wire.OP_CONFIRM_CONSENT:
+            seconds = directory.confirm_consent(wire.decode_text(payload))
+            return wire.OP_WINDOW, wire.encode_window(seconds)
+        if opcode == wire.OP_NEGOTIATE:
+            count = directory.responder_count(wire.decode_text(payload))
+            return wire.OP_COUNT, wire.encode_count(count)
+        if opcode == wire.OP_AUDIT:
+            _, address, transport = wire.decode_register(payload)
+            verdict = directory.audit_responder(ResponderEndpoint(address, transport))
+            return wire.OP_VERDICT, wire.encode_text(verdict.value)
+        raise FrameError(f"unknown opcode {opcode}")
+
 
 def serve_directory(directory: Directory, listen_addr: str) -> DirectoryServer:
     """Start a directory daemon in a background thread."""
@@ -344,6 +356,7 @@ def serve_directory(directory: Directory, listen_addr: str) -> DirectoryServer:
 # -- requester client --------------------------------------------------------
 
 _ERROR_EXCEPTIONS = {
+    wire.ERR_MALFORMED: FrameError,
     wire.ERR_CONSENT_REQUIRED: ConsentRequiredError,
     wire.ERR_INSUFFICIENT_RESPONDERS: InsufficientRespondersError,
     wire.ERR_INVALID_CIPHERTEXT: InvalidCiphertextError,
@@ -385,18 +398,18 @@ class DirectoryClient:
         return wire.decode_ack(body)
 
     def begin_consent(self, account: str) -> str:
-        return wire.decode_token(
-            self._call(wire.OP_BEGIN_CONSENT, wire.encode_account(account),
+        return wire.decode_text(
+            self._call(wire.OP_BEGIN_CONSENT, wire.encode_text(account),
                        wire.OP_TOKEN))
 
     def confirm_consent(self, token: str) -> float:
         return wire.decode_window(
-            self._call(wire.OP_CONFIRM_CONSENT, wire.encode_token(token),
+            self._call(wire.OP_CONFIRM_CONSENT, wire.encode_text(token),
                        wire.OP_WINDOW))
 
     def negotiate(self, account: str) -> int:
         return wire.decode_count(
-            self._call(wire.OP_NEGOTIATE, wire.encode_account(account),
+            self._call(wire.OP_NEGOTIATE, wire.encode_text(account),
                        wire.OP_COUNT))
 
     def query(self, query: protocol.QueryMessage, rho: int
@@ -416,7 +429,7 @@ class DirectoryClient:
         body = self._call(wire.OP_AUDIT,
                           wire.encode_register("", address, transport),
                           wire.OP_VERDICT)
-        return wire.decode_verdict(body)
+        return wire.decode_text(body)
 
 
 # -- the password-setting flow ----------------------------------------------
@@ -437,7 +450,6 @@ def requester_set_password(client: DirectoryClient, account: str,
                            k: int = 20,
                            hash_params: similarity.SlowHashParams = similarity.DEFAULT_HASH_PARAMS,
                            model: Optional[planner.LatencyModel] = None,
-                           curve: planner.ReuseCurve = planner.DEFAULT_REUSE_CURVE,
                            register_endpoint: Optional[str] = None,
                            rng=None) -> SetPasswordResult:
     """Run the full password-setting flow against a directory.
@@ -460,7 +472,7 @@ def requester_set_password(client: DirectoryClient, account: str,
         return SetPasswordResult(True, 0, 0, 0, None)
     if model is None:
         model = planner.REFERENCE_MODELS[client.profile.name]
-    plan = planner.optimize(t_goal, r_a, d, model, curve)
+    plan = planner.optimize(t_goal, r_a, d, model, planner.DEFAULT_REUSE_CURVE)
 
     def one_run(candidate: str) -> Tuple[int, int]:
         query, session = protocol.build_query(

@@ -15,7 +15,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import StateError
 
@@ -60,12 +60,6 @@ def bloom_item(password: str, account_id: str,
         maxmem=params.maxmem,
         dklen=DIGEST_BYTES,
     )
-
-
-@dataclass(frozen=True)
-class TransformRule:
-    name: str
-    apply: Callable[[str], List[str]]
 
 
 def _case_toggles(pw: str) -> List[str]:
@@ -147,18 +141,11 @@ def _truncate(pw: str) -> List[str]:
 # Cascade ordered by how often each transform shows up in observed reuse:
 # capitalization first, then digit suffix steps, suffix edits, leet,
 # keyboard shifts, truncation.
-DEFAULT_RULES: Tuple[TransformRule, ...] = (
-    TransformRule("case", _case_toggles),
-    TransformRule("digit-step", _digit_step),
-    TransformRule("suffix", _suffix_ops),
-    TransformRule("leet", _leet),
-    TransformRule("keyboard-shift", _keyboard_shift),
-    TransformRule("truncate", _truncate),
-)
+DEFAULT_RULES = (_case_toggles, _digit_step, _suffix_ops, _leet,
+                 _keyboard_shift, _truncate)
 
 
-def generate_similar(password: str, budget: int,
-                     rules: Sequence[TransformRule] = DEFAULT_RULES) -> List[str]:
+def generate_similar(password: str, budget: int) -> List[str]:
     """Up to ``budget`` deterministic variants, the password itself first."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -170,8 +157,8 @@ def generate_similar(password: str, budget: int,
     while len(out) < budget and frontier:
         next_frontier = []
         for base in frontier:
-            for rule in rules:
-                for variant in rule.apply(base):
+            for rule in DEFAULT_RULES:
+                for variant in rule(base):
                     if variant and variant not in seen:
                         seen.add(variant)
                         out.append(variant)
@@ -278,15 +265,10 @@ class SimilarSet:
     d: int
     capacity: int
 
-    @property
-    def per_seed_budget(self) -> int:
-        return self.capacity // (self.d + 1)
-
 
 def build_similar_set(account_id: str, password: str, d: int, capacity: int,
                       hash_params: SlowHashParams = DEFAULT_HASH_PARAMS,
-                      rng_seed: int = 0,
-                      rules: Sequence[TransformRule] = DEFAULT_RULES) -> SimilarSet:
+                      rng_seed: int = 0) -> SimilarSet:
     """Derivatives of the real password and d honeywords, hashed with H.
 
     The per-seed variant budget is capacity // (d + 1); variants from the
@@ -297,7 +279,7 @@ def build_similar_set(account_id: str, password: str, d: int, capacity: int,
         raise ValueError("capacity too small to cover all seeds")
     budget = capacity // (d + 1)
     seeds = [password] + generate_honey(password, d, rng_seed)
-    variant_lists = [generate_similar(seed, budget, rules) for seed in seeds]
+    variant_lists = [generate_similar(seed, budget) for seed in seeds]
     interleaved: List[str] = []
     for rank in range(budget):
         for variants in variant_lists:

@@ -72,20 +72,6 @@ def encode_frame(opcode: int, payload: bytes) -> bytes:
     return HEADER.pack(MAGIC, VERSION, opcode, len(payload)) + payload
 
 
-def decode_frame(data: bytes) -> Tuple[int, bytes]:
-    if len(data) < HEADER.size:
-        raise FrameError("short frame header")
-    magic, version, opcode, length = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FrameError("bad magic")
-    if version != VERSION:
-        raise FrameError(f"unknown version {version}")
-    payload = data[HEADER.size:]
-    if len(payload) != length:
-        raise FrameError("payload length mismatch")
-    return opcode, payload
-
-
 def read_frame(read) -> Tuple[int, bytes]:
     """Read one frame from a ``read(n) -> bytes`` callable (e.g. a socket
     file)."""
@@ -283,23 +269,16 @@ def decode_register(payload: bytes) -> Tuple[str, str, str]:
     return out
 
 
-def encode_account(account: str) -> bytes:
-    return _lp(account.encode())
+def encode_text(text: str) -> bytes:
+    """An account, a consent token or an audit verdict: one text field."""
+    return _lp(text.encode())
 
 
-def decode_account(payload: bytes) -> str:
+def decode_text(payload: bytes) -> str:
     cur = _Cursor(payload)
-    account = cur.text()
+    text = cur.text()
     cur.done()
-    return account
-
-
-def encode_token(token: str) -> bytes:
-    return _lp(token.encode())
-
-
-def decode_token(payload: bytes) -> str:
-    return decode_account(payload)
+    return text
 
 
 def encode_window(seconds: float) -> bytes:
@@ -358,10 +337,3 @@ def decode_responses(payload: bytes) -> List[bytes]:
     cur.done()
     return out
 
-
-def encode_verdict(verdict: str) -> bytes:
-    return _lp(verdict.encode())
-
-
-def decode_verdict(payload: bytes) -> str:
-    return decode_account(payload)

@@ -77,14 +77,6 @@ def test_membership_completeness():
         assert bloom.indices(params, item) <= union
 
 
-def test_optimal_k_reference_values():
-    assert bloom.optimal_k(28854, 1000) == 20
-    assert bloom.optimal_k(10, 10) == 1
-    assert bloom.optimal_k(2885, 100) == 20
-    with pytest.raises(ValueError):
-        bloom.optimal_k(0, 5)
-
-
 def test_length_for_reference_values():
     assert bloom.length_for(1000, 20) == 28854
     assert bloom.length_for(1, 1) == 2
@@ -128,9 +120,3 @@ def test_measured_fpr_within_factor_two_of_estimate():
     est = bloom.fpr_estimate(ell, k, n)
     assert false_positives / probes <= 2 * est
     assert false_positives / probes >= est / 2
-
-
-def test_fresh_params_uses_default_k():
-    params = bloom.fresh_params(bloom.length_for(100, 20))
-    assert params.num_hashes_k == 20
-    assert len(params.hash_family_seed) == bloom.SEED_BYTES

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from reuseguard import bench, planner, similarity
+from reuseguard.run import TOOLS
 from reuseguard.cli import planner_main, requester_main, responder_main
 from reuseguard.directory import Directory, ResponderEndpoint
 from reuseguard.netnodes import ResponderStore, make_tcp_responder_transport, serve_directory
@@ -90,6 +91,33 @@ def test_responder_refuses_a_malformed_store(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
+
+
+@pytest.mark.parametrize("tool, argv, prefix", [
+    ("directoryd", ["--listen", "127.0.0.1:0", "--state-dir", "{bad_log_dir}"], "error: "),
+    ("responder", ["--store", "{missing}", "--listen", "127.0.0.1:0"], "error: "),
+    ("planner", ["fit", "--csv", "{missing}"], "fit failed: "),
+    ("planner", OPTIMIZE + ["--coeffs", "{missing}"], "error: "),
+    ("planner", OPTIMIZE + ["--coeffs", "{bad_coeffs}"], "error: "),
+    ("planner", OPTIMIZE + ["--curve", "{missing}"], "error: "),
+    ("planner", OPTIMIZE + ["--curve", "{bad_curve}"], "error: "),
+], ids=["directoryd-log-does-not-replay", "responder-missing-store", "fit-missing-csv",
+        "optimize-missing-coeffs", "optimize-malformed-coeffs",
+        "optimize-missing-curve", "optimize-malformed-curve"])
+def test_cli_reports_a_bad_input_in_one_line(tmp_path, capsys, tool, argv, prefix):
+    bad_log_dir = tmp_path / "dstate"
+    bad_log_dir.mkdir()
+    (bad_log_dir / "events.jsonl").write_text('{"op": "regis\n')
+    paths = {"bad_log_dir": bad_log_dir, "missing": tmp_path / "missing",
+             "bad_coeffs": tmp_path / "coeffs.txt", "bad_curve": tmp_path / "curve.txt"}
+    paths["bad_coeffs"].write_text("c0 1.5\n")
+    paths["bad_curve"].write_text("1;0.343\n")
+    assert TOOLS[tool]([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def test_package_and_planner_fit_run_without_numpy(tmp_path):
     rows = ["rho,n,time"] + [
         f"{rho},{n},{planner.predict_time(planner.TRUSTED_MODEL, rho, n)}"
@@ -123,8 +151,10 @@ def test_planner_bench_writes_csv(tmp_path):
 def test_bench_fit_pipeline(tmp_path):
     scenario = bench.BenchScenario(n_values=(1, 4), rho_values=(1, 2),
                                    rounds=2)
-    records = bench.bench_run(scenario)
-    samples = bench.read_fit_samples(io.StringIO(bench.records_to_csv(records)))
+    buf = io.StringIO()
+    bench.write_csv(bench.bench_run(scenario), buf)
+    buf.seek(0)
+    samples = bench.read_fit_samples(buf)
     assert len(samples) == 8
     model = planner.fit_model(samples)
     assert model.c0 >= 0 or model.rmse >= 0  # fit ran end to end
@@ -192,6 +222,7 @@ def test_cli_daemons_end_to_end(tmp_path):
         for proc in procs:
             proc.kill()
             proc.wait()
+            proc.stdout.close()
 
 
 def test_requester_reports_failure_when_no_responder_answers(capsys):
@@ -208,6 +239,7 @@ def test_requester_reports_failure_when_no_responder_answers(capsys):
                              "--auto-consent"])
     finally:
         dserver.shutdown()
+        dserver.server_close()
     captured = capsys.readouterr()
     assert rc == 4
     assert "accepted" not in captured.out

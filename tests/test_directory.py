@@ -189,8 +189,7 @@ def test_token_is_single_use():
 
 def test_token_expires():
     now = [0.0]
-    d, _ = directory_with_responders(1, clock=lambda: now[0],
-                                     token_ttl=600.0)
+    d, _ = directory_with_responders(1, clock=lambda: now[0])
     token = d.begin_consent(ACCOUNT)
     now[0] += 601.0
     with pytest.raises(ConsentTokenError):
@@ -205,8 +204,7 @@ def test_unknown_token_rejected():
 
 def test_consent_state_is_bounded():
     now = [0.0]
-    d = Directory(None, clock=lambda: now[0], token_ttl=600.0,
-                  window_seconds=60.0)
+    d = Directory(None, clock=lambda: now[0], window_seconds=60.0)
     tokens = [d.begin_consent(f"user{i}@example.com") for i in range(1000)]
     for token in tokens[:10]:
         d.confirm_consent(token)

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 from reuseguard.errors import NotOnCurveError, UnsupportedGroupError
 from reuseguard.groups import (
     COMB8_MIN_BATCH,
-    CURVES,
     P160,
     P192,
     P224,
     P256,
     EnumerableGroup,
-    get_group,
     sqrt_mod_prime,
     enumerable_group,
 )
@@ -195,12 +193,6 @@ def test_test_group_requires_prime_order():
 def test_test_group_permits_exhaustive_enumeration(tg101):
     assert list(tg101.elements()) == list(range(101))
 
-
-def test_get_group_lookup():
-    assert get_group("P224") is CURVES["P224"]
-    assert get_group("TEST(101)") is enumerable_group(101)
-    with pytest.raises(UnsupportedGroupError):
-        get_group("P512")
 
 
 @settings(max_examples=30)

@@ -8,10 +8,11 @@ import time
 
 import pytest
 
-from reuseguard import planner, protocol, similarity, wire
+from reuseguard import netnodes, planner, protocol, similarity, wire
 from reuseguard.directory import Directory, ResponderEndpoint
 from reuseguard.errors import (
     ConsentRequiredError,
+    FrameError,
     InvalidCiphertextError,
     NoResponseError,
     TransportError,
@@ -586,3 +587,57 @@ def test_flow_fails_closed_when_no_responder_answers():
     finally:
         dserver.shutdown()
         dserver.server_close()
+
+
+# -- malformed coordinator requests and idle connections ------------------------
+
+def _assert_padded_error(reply, code):
+    opcode, body = reply
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == code
+    assert len(body) == wire.response_payload_size(P192)
+
+
+def test_directory_answers_a_non_email_account_as_malformed(small_deployment):
+    dserver, servers = small_deployment
+    payload = wire.encode_register("not-an-email", servers[0].address, "tcp")
+    _assert_padded_error(tcp_request(dserver.address, wire.OP_REGISTER, payload, 5.0),
+                         wire.ERR_MALFORMED)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(20))
+    with pytest.raises(FrameError):
+        client.register("not-an-email", servers[0].address)
+    assert client.negotiate(ACCOUNT) == 4
+
+
+def test_directory_answers_a_truncated_register_as_malformed(small_deployment):
+    dserver, servers = small_deployment
+    payload = wire.encode_register(ACCOUNT, servers[0].address, "tcp")[:-1]
+    _assert_padded_error(tcp_request(dserver.address, wire.OP_REGISTER, payload, 5.0),
+                         wire.ERR_MALFORMED)
+
+
+def _idle_reply(address):
+    """The reply to a connection that sends half a frame header, then nothing."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(wire.MAGIC)
+        with sock.makefile("rb") as reader:
+            return wire.read_frame(reader.read)
+
+
+def test_idle_connection_times_out_on_the_responder(responder_server, monkeypatch):
+    monkeypatch.setattr(netnodes, "IDLE_TIMEOUT_S", 0.2)
+    _assert_padded_error(_idle_reply(responder_server.address), wire.ERR_MALFORMED)
+    query, session = protocol.build_query(ACCOUNT, "hunter2", 5, group=P192,
+                                          hash_params=CHEAP)
+    response = make_tcp_responder_transport()(
+        ResponderEndpoint(responder_server.address), query, 5.0)
+    assert protocol.decode_result(session, response) is True
+
+
+def test_idle_connection_times_out_on_the_directory(small_deployment, monkeypatch):
+    dserver, _ = small_deployment
+    monkeypatch.setattr(netnodes, "IDLE_TIMEOUT_S", 0.2)
+    _assert_padded_error(_idle_reply(dserver.address), wire.ERR_MALFORMED)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(21))
+    assert client.negotiate(ACCOUNT) == 4

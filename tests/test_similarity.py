@@ -55,15 +55,6 @@ def test_cascade_covers_common_reuse_transforms():
     assert "hunter21" in out or "hunter2123" in out
 
 
-def test_custom_transform_rules_plug_in():
-    reverse = similarity.TransformRule("reverse", lambda pw: [pw[::-1]])
-    out = generate_similar("abcdef", 2, rules=(reverse,))
-    assert out == ["abcdef", "fedcba"]
-    sset = build_similar_set("a@b.com", "abcdef", 0, 2, CHEAP_HASH_PARAMS,
-                             rules=(reverse,))
-    assert bloom_item("fedcba", "a@b.com", CHEAP_HASH_PARAMS) in sset.entries
-
-
 def test_honey_empty_for_zero():
     assert generate_honey("whatever", 0, 1) == []
 
@@ -100,8 +91,7 @@ def test_honey_preserves_character_classes():
 def test_build_set_per_seed_budget():
     sset = build_similar_set("a@b.com", "monkey1", 4, 25, CHEAP_HASH_PARAMS,
                              rng_seed=1)
-    assert sset.per_seed_budget == 5
-    assert len(sset.entries) <= 25
+    assert len(sset.entries) <= 25  # 5 variants of each of the 5 seeds
     assert sset.d == 4
     assert len(sset.entries) > 20  # digest collisions across seeds are rare
 

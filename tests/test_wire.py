@@ -34,28 +34,24 @@ def test_golden_frame_bytes_are_stable():
 
 
 def test_golden_frame_decodes():
-    opcode, payload = wire.decode_frame(GOLDEN_QUERY_FRAME)
+    opcode, payload = wire.read_frame(io.BytesIO(GOLDEN_QUERY_FRAME).read)
     assert opcode == wire.OP_QUERY
     assert wire.decode_query(payload) == golden_query()
 
 
 def test_frame_roundtrip():
     frame = wire.encode_frame(wire.OP_ACK, b"hello")
-    assert wire.decode_frame(frame) == (wire.OP_ACK, b"hello")
+    assert wire.read_frame(io.BytesIO(frame).read) == (wire.OP_ACK, b"hello")
 
 
 def test_frame_rejects_bad_magic_version_length():
     good = wire.encode_frame(wire.OP_ACK, b"x")
-    with pytest.raises(FrameError):
-        wire.decode_frame(b"XX" + good[2:])
-    with pytest.raises(FrameError):
-        wire.decode_frame(good[:2] + b"\x09" + good[3:])
-    with pytest.raises(FrameError):
-        wire.decode_frame(good + b"extra")
-    with pytest.raises(FrameError):
-        wire.decode_frame(good[:-1])
-    with pytest.raises(FrameError):
-        wire.decode_frame(b"PM")
+    oversized = wire.HEADER.pack(wire.MAGIC, wire.VERSION, wire.OP_ACK,
+                                 wire.MAX_PAYLOAD + 1)
+    for bad in (b"XX" + good[2:], good[:2] + b"\x09" + good[3:], oversized,
+                good[:-1], b"PM"):
+        with pytest.raises(FrameError):
+            wire.read_frame(io.BytesIO(bad).read)
 
 
 def test_read_frame_from_stream():
@@ -198,10 +194,9 @@ def test_ack_roundtrip(ok, warning):
 
 
 def test_misc_payload_roundtrips():
-    assert wire.decode_token(wire.encode_token("tok")) == "tok"
+    assert wire.decode_text(wire.encode_text("tok")) == "tok"
     assert wire.decode_window(wire.encode_window(60.0)) == 60.0
     assert wire.decode_count(wire.encode_count(26)) == 26
-    assert wire.decode_verdict(wire.encode_verdict("honest")) == "honest"
     rho, rest = wire.decode_directory_query(
         wire.encode_directory_query(7, b"querybytes"))
     assert (rho, rest) == (7, b"querybytes")
@@ -210,9 +205,9 @@ def test_misc_payload_roundtrips():
 
 
 def test_trailing_bytes_rejected():
-    payload = wire.encode_account("a@b.com") + b"\x00"
+    payload = wire.encode_text("a@b.com") + b"\x00"
     with pytest.raises(FrameError):
-        wire.decode_account(payload)
+        wire.decode_text(payload)
 
 
 # -- header parse and relay view ------------------------------------------------
@@ -244,9 +239,7 @@ def test_non_utf8_text_is_a_frame_error():
             (wire.decode_query, query_payload),
             (wire.decode_register, wire._lp(bad) + wire._lp(b"h:1") + wire._lp(b"tcp")),
             (wire.decode_register, wire._lp(b"a@b.co") + wire._lp(b"h:1") + wire._lp(bad)),
-            (wire.decode_account, wire._lp(bad)),
-            (wire.decode_token, wire._lp(bad)),
-            (wire.decode_verdict, wire._lp(bad)),
+            (wire.decode_text, wire._lp(bad)),
             (wire.decode_ack, b"\x01" + wire._lp(bad))):
         with pytest.raises(FrameError):
             decode(payload)
