@@ -114,10 +114,10 @@ def responder_main(argv=None) -> int:
 
     try:
         store = ResponderStore.load(args.store)
-    except (ReuseGuardError, OSError) as exc:
+        server = serve_responder(store, args.listen)
+    except (ReuseGuardError, OSError, ValueError) as exc:  # a bad store, a port in use, a bad address
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    server = serve_responder(store, args.listen)
     print(f"responder listening on {server.address} "
           f"({len(store.accounts())} accounts)", flush=True)
     try:
@@ -221,7 +221,12 @@ def directoryd_main(argv=None) -> int:
     except (ReuseGuardError, OSError) as exc:  # a state dir that does not load
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    server = serve_directory(directory, args.listen)
+    try:
+        server = serve_directory(directory, args.listen)
+    except (OSError, ValueError) as exc:  # a port in use or a bad address
+        directory.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"directory listening on {server.address} (profile={args.profile})", flush=True)
     try:
         while True:

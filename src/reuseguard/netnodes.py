@@ -149,9 +149,9 @@ def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, 
 # Dispatched in place of a frame that could not be read: no opcode has it.
 _UNREADABLE_FRAME = -1
 
-# Longest wait for the next bytes of a request frame.  A client that sends
-# nothing for this long gets the unreadable-frame answer, so an idle
-# connection does not hold a handler thread.
+# Longest time a client has to send a whole request frame.  One that has
+# not sent it by then gets the unreadable-frame answer, so neither an idle
+# connection nor one that trickles bytes holds a handler thread.
 IDLE_TIMEOUT_S = 10.0
 
 
@@ -159,15 +159,23 @@ class _FrameHandler(socketserver.BaseRequestHandler):
     """Reads one frame and sends back the server's ``dispatch`` of it."""
 
     def handle(self):
-        self.request.settimeout(IDLE_TIMEOUT_S)
+        sock = self.request
+        deadline = time.monotonic() + IDLE_TIMEOUT_S
+
+        def read(n: int) -> bytes:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("request frame not received in time")
+            sock.settimeout(remaining)
+            return sock.recv(min(n, 1 << 16))  # not n: a header may claim 64 MB
+
         try:
-            with self.request.makefile("rb") as reader:
-                opcode, payload = wire.read_frame(reader.read)
+            opcode, payload = wire.read_frame(read)
         except (FrameError, socket.timeout):
             opcode, payload = _UNREADABLE_FRAME, b""
         reply = wire.encode_frame(*self.server.dispatch(opcode, payload))
         try:
-            self.request.sendall(reply)
+            sock.sendall(reply)
         except OSError:
             pass
 
@@ -302,7 +310,7 @@ class DirectoryServer(_FrameServer):
             if opcode != wire.OP_QUERY:
                 try:
                     return self._coordinate(opcode, payload)
-                except (FrameError, MalformedAddressError):
+                except FrameError:
                     return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
             # Route on the header; query and reply bytes pass through.
             rho, query_payload = wire.decode_directory_query(payload)
@@ -312,6 +320,8 @@ class DirectoryServer(_FrameServer):
                 return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
             return wire.OP_RESPONSES, wire.encode_responses(
                 self.directory.fanout(raw, rho))
+        except MalformedAddressError:  # an account that is no email address
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
         except (ConsentRequiredError, ConsentTokenError):
             return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
         except InsufficientRespondersError:

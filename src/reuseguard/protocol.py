@@ -16,6 +16,7 @@ Everything here is transport-free; wire encoding lives in ``wire``.
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import FrozenSet, Iterable, Sequence, Tuple
@@ -62,26 +63,37 @@ def build_query(account_id: str, password: str, n_target: int, *,
     The filter is sized for ``n_target`` entries per responder under ``k``
     hash functions with a fresh seed, under a fresh key pair.  Slot j
     carries an encryption of a fresh random element g^r when j is one of
-    the candidate's indices and of the identity (r = 0) otherwise.  Each
-    slot draws r (on the candidate's indices) and then its ephemeral x;
-    all slots are encrypted in one ``elgamal.encrypt_powers`` batch.
+    the candidate's indices and of the identity (r = 0) otherwise.
+
+    The password's slow hash runs on a short-lived worker thread (scrypt
+    releases the interpreter lock) while this thread encrypts every slot
+    as the identity in one ``elgamal.encrypt_powers`` batch of (g^x, g^(u·x)).
+    Once the hash is in, each of the candidate's k slots gets its body
+    g^(u·x + r) from one small ``exp_generator_many`` batch.  All draws
+    come from ``rng`` on the calling thread, in this order: the filter
+    seed, the key, every slot's x, then r for each index in ascending order.
     """
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     rng = rng or _SYSTEM_RNG
-    params = bloom.BloomParams(
-        bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
-    )
-    keypair = elgamal.gen(group, rng)
-    item = similarity.bloom_item(password, account_id, hash_params)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        hashing = worker.submit(similarity.bloom_item, password, account_id, hash_params)
+        params = bloom.BloomParams(
+            bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
+        )
+        keypair = elgamal.gen(group, rng)
+        order = group.order
+        xs = [rng.randrange(order) for _ in range(params.length_ell)]
+        slots = elgamal.encrypt_powers(keypair.sk, [(0, x) for x in xs])
+        item = hashing.result()
     j_r = bloom.indices(params, item)
-    order = group.order
-    slots = []
-    for j in range(params.length_ell):
-        r = rng.randrange(order) if j in j_r else 0
-        slots.append((r, rng.randrange(order)))
-    ciphertexts = tuple(elgamal.encrypt_powers(keypair.sk, slots))
-    query = QueryMessage(account_id, keypair.pk, params, ciphertexts)
+    members = sorted(j_r)
+    u = keypair.sk.scalar
+    bodies = group.exp_generator_many(
+        [(u * xs[j] + rng.randrange(order)) % order for j in members])
+    for j, body in zip(members, bodies):
+        slots[j] = slots[j]._replace(body=body)
+    query = QueryMessage(account_id, keypair.pk, params, tuple(slots))
     return query, RequesterSession(keypair, params, j_r)
 
 

@@ -102,18 +102,27 @@ OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
     ("planner", OPTIMIZE + ["--coeffs", "{bad_coeffs}"], "error: "),
     ("planner", OPTIMIZE + ["--curve", "{missing}"], "error: "),
     ("planner", OPTIMIZE + ["--curve", "{bad_curve}"], "error: "),
+    ("directoryd", ["--listen", "{busy}"], "error: "),
+    ("responder", ["--store", "{empty_store}", "--listen", "{busy}"], "error: "),
 ], ids=["directoryd-log-does-not-replay", "responder-missing-store", "fit-missing-csv",
         "optimize-missing-coeffs", "optimize-malformed-coeffs",
-        "optimize-missing-curve", "optimize-malformed-curve"])
+        "optimize-missing-curve", "optimize-malformed-curve",
+        "directoryd-port-in-use", "responder-port-in-use"])
 def test_cli_reports_a_bad_input_in_one_line(tmp_path, capsys, tool, argv, prefix):
     bad_log_dir = tmp_path / "dstate"
     bad_log_dir.mkdir()
     (bad_log_dir / "events.jsonl").write_text('{"op": "regis\n')
     paths = {"bad_log_dir": bad_log_dir, "missing": tmp_path / "missing",
-             "bad_coeffs": tmp_path / "coeffs.txt", "bad_curve": tmp_path / "curve.txt"}
+             "bad_coeffs": tmp_path / "coeffs.txt", "bad_curve": tmp_path / "curve.txt",
+             "empty_store": tmp_path / "store"}
     paths["bad_coeffs"].write_text("c0 1.5\n")
     paths["bad_curve"].write_text("1;0.343\n")
-    assert TOOLS[tool]([arg.format(**paths) for arg in argv]) == 1
+    paths["empty_store"].mkdir()
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        paths["busy"] = "127.0.0.1:%d" % busy.getsockname()[1]
+        assert TOOLS[tool]([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
 

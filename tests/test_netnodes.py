@@ -483,6 +483,21 @@ def test_directory_rejects_rho_zero_as_malformed(small_deployment):
     assert len(body) == wire.response_payload_size(P256)
 
 
+def test_directory_answers_a_query_for_a_non_email_account_as_malformed(small_deployment):
+    dserver, _ = small_deployment
+    query, _ = protocol.build_query("not-an-email", "pw", 1, group=P256,
+                                    hash_params=CHEAP)
+    opcode, body = tcp_request(
+        dserver.address, wire.OP_QUERY,
+        wire.encode_directory_query(2, wire.encode_query(query)), 5.0)
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_MALFORMED
+    assert len(body) == wire.response_payload_size(P256)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(15))
+    with pytest.raises(FrameError):
+        client.query(query, 2)
+
+
 class _UndecodableReplier(socketserver.BaseRequestHandler):
     """Answers any query with a reply of the right size that is no point."""
 
@@ -641,3 +656,54 @@ def test_idle_connection_times_out_on_the_directory(small_deployment, monkeypatc
     _assert_padded_error(_idle_reply(dserver.address), wire.ERR_MALFORMED)
     client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(21))
     assert client.negotiate(ACCOUNT) == 4
+
+
+def _trickled_reply(address, frame, gap=0.15):
+    """The reply to a client that sends ``frame`` one byte every ``gap``
+    seconds, and the seconds it took to arrive."""
+    host, port = address.rsplit(":", 1)
+    stop = threading.Event()
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+
+        def trickle():
+            for i in range(len(frame)):
+                try:
+                    sock.sendall(frame[i:i + 1])
+                except OSError:
+                    return
+                if stop.wait(gap):
+                    return
+
+        sender = threading.Thread(target=trickle)
+        start = time.monotonic()
+        sender.start()
+        try:
+            with sock.makefile("rb") as reader:
+                reply = wire.read_frame(reader.read)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    return reply, elapsed
+
+
+# A whole frame trickled at 0.15 s a byte takes over 3.5 s; each byte
+# arrives well inside the 0.2 s timeout, so only a deadline on the whole
+# frame answers within about one timeout.
+
+def test_trickling_connection_times_out_on_the_responder(responder_server, monkeypatch):
+    monkeypatch.setattr(netnodes, "IDLE_TIMEOUT_S", 0.2)
+    reply, elapsed = _trickled_reply(responder_server.address,
+                                     wire.encode_frame(wire.OP_QUERY, bytes(16)))
+    _assert_padded_error(reply, wire.ERR_MALFORMED)
+    assert elapsed < 1.0
+
+
+def test_trickling_connection_times_out_on_the_directory(small_deployment, monkeypatch):
+    dserver, _ = small_deployment
+    monkeypatch.setattr(netnodes, "IDLE_TIMEOUT_S", 0.2)
+    reply, elapsed = _trickled_reply(
+        dserver.address, wire.encode_frame(wire.OP_NEGOTIATE, wire.encode_text(ACCOUNT)))
+    _assert_padded_error(reply, wire.ERR_MALFORMED)
+    assert elapsed < 1.0

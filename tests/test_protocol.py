@@ -1,4 +1,5 @@
 import random
+import threading
 from itertools import combinations
 
 import pytest
@@ -56,17 +57,23 @@ def test_fresh_key_and_ciphertexts_each_run(rng, tg101):
 
 
 def _per_slot_reference_query(account, password, n_target, group, rng):
-    """The query as one ``elgamal.encrypt`` per slot, in build_query's draw order."""
+    """The query as one ``elgamal.encrypt`` per slot, in build_query's draw
+    order: seed, key, every slot's x, then r for each index of sorted(J_R)."""
     k = bloom.DEFAULT_NUM_HASHES
     params = bloom.BloomParams(bloom.length_for(n_target, k), k,
                                rng.randbytes(bloom.SEED_BYTES))
     keypair = elgamal.gen(group, rng)
+    xs = iter([rng.randrange(group.order) for _ in range(params.length_ell)])
     j_r = bloom.indices(params, similarity.bloom_item(password, account, CHEAP))
-    slots = []
-    for j in range(params.length_ell):
-        m = group.random_element(rng) if j in j_r else group.identity
-        slots.append(elgamal.encrypt(keypair.pk, m, rng))
-    return QueryMessage(account, keypair.pk, params, tuple(slots))
+    plaintexts = {j: group.random_element(rng) for j in sorted(j_r)}
+
+    class DrawnX:
+        def randrange(self, _order):
+            return next(xs)
+
+    slots = tuple(elgamal.encrypt(keypair.pk, plaintexts.get(j, group.identity), DrawnX())
+                  for j in range(params.length_ell))
+    return QueryMessage(account, keypair.pk, params, slots)
 
 
 @pytest.mark.parametrize("group", [P192, P256, enumerable_group(101)],
@@ -78,6 +85,51 @@ def test_build_query_equals_per_slot_encryption(group):
                                hash_params=CHEAP, rng=random.Random(seed))
         assert query == _per_slot_reference_query(
             ACCOUNT, "hunter2", n_target, group, random.Random(seed))
+
+
+def test_query_hashes_while_its_slots_encrypt(monkeypatch, tg101):
+    # The hash waits for the slot encryption to start; run one after the
+    # other, the wait times out.
+    encrypting = threading.Event()
+    encrypt_many = type(tg101).exp_generator_many
+    hash_item = similarity.bloom_item
+
+    def signalling_encrypt(self, scalars):
+        encrypting.set()
+        return encrypt_many(self, scalars)
+
+    def waiting_hash(*args):
+        assert encrypting.wait(timeout=10), "hash ran before the slots encrypted"
+        return hash_item(*args)
+
+    monkeypatch.setattr(type(tg101), "exp_generator_many", signalling_encrypt)
+    monkeypatch.setattr(similarity, "bloom_item", waiting_hash)
+    query, session = build_query(ACCOUNT, "pw", 4, group=tg101,
+                                 hash_params=CHEAP, rng=random.Random(3))
+    assert len(session.requester_index_set) == query.bloom.num_hashes_k
+
+
+def test_hash_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch, tg101):
+    def failing_hash(*args):
+        raise ValueError("memory limit exceeded")
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(similarity, "bloom_item", failing_hash)
+    with pytest.raises(ValueError, match="memory limit exceeded"):
+        build_query(ACCOUNT, "pw", 4, group=tg101, hash_params=CHEAP,
+                    rng=random.Random(3))
+    assert set(threading.enumerate()) <= before
+
+
+def test_only_the_index_set_slots_decrypt_to_a_non_identity_on_p192():
+    query, session = build_query(ACCOUNT, "hunter2", 16, group=P192,
+                                 hash_params=CHEAP, rng=random.Random(6))
+    sk = session.keypair.sk
+    non_identity = {j for j, c in enumerate(query.ciphertexts)
+                    if elgamal.decrypt(sk, c) != P192.identity}
+    assert len(query.ciphertexts) == 462
+    assert non_identity == set(session.requester_index_set)
+    assert len(non_identity) == 20
 
 
 def test_warm_build_query_builds_no_fixed_base_table(monkeypatch):
