@@ -218,7 +218,7 @@ def directoryd_main(argv=None) -> int:
             per_responder_timeout=TIMEOUT_PROFILES[args.profile],
             early_return_fraction=args.early_return_fraction,
             state_dir=args.state_dir)
-    except (ReuseGuardError, OSError) as exc:  # a state dir that does not load
+    except (ReuseGuardError, OSError, ValueError) as exc:  # a bad state dir or fraction
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -32,7 +32,7 @@ import secrets
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from . import bloom, elgamal, protocol
@@ -106,7 +106,6 @@ class ConsentState:
 class _Window:
     window_id: str
     expires_at: float
-    plans: Dict[int, Tuple[ResponderEndpoint, ...]] = field(default_factory=dict)
 
 
 class AuditVerdict(enum.Enum):
@@ -126,8 +125,8 @@ class Directory:
 
     ``transport`` delivers one query to one endpoint within a timeout and
     returns the reply (raising ``InvalidCiphertextError`` when the
-    responder rejected the query, ``TimeoutError`` or any other exception
-    on other failures).
+    responder rejected the query, ``TransportError`` or any other exception
+    on other failures).  ``early_return_fraction`` must be in (0, 1].
 
     With ``state_dir``, registry and flag changes are appended to its one
     state file, ``events.jsonl``.  Construction replays the file's complete
@@ -146,6 +145,8 @@ class Directory:
                  audit_group=P192,
                  clock: Callable[[], float] = time.time,
                  rng: Optional[random.Random] = None):
+        if early_return_fraction is not None and not 0 < early_return_fraction <= 1:
+            raise ValueError(f"early return fraction {early_return_fraction} not in (0, 1]")
         self.transport = transport
         self.window_seconds = window_seconds
         self.per_responder_timeout = per_responder_timeout
@@ -254,28 +255,28 @@ class Directory:
 
     def _plan(self, window: _Window, account: str,
               rho: int) -> Tuple[ResponderEndpoint, ...]:
-        eligible = sorted(ep for ep in self._accounts.get(account, ())
-                          if ep not in self._flagged)
+        """The first rho unflagged endpoints ranked by ``sha256(window id |
+        endpoint)``, stored nowhere: each rho gets a prefix of one random
+        order per window, and an endpoint flagged or deregistered mid-window
+        leaves at the next query."""
+        eligible = [ep for ep in self._accounts.get(account, ())
+                    if ep not in self._flagged]
         if rho > len(eligible):
             raise InsufficientRespondersError(
                 f"{len(eligible)} responders registered, {rho} requested"
             )
-        chosen = window.plans.get(rho)
-        if chosen is None:
-            sticky_key = hashlib.sha256(
-                f"{account}|{window.window_id}|{rho}".encode()
-            ).hexdigest()
-            picker = random.Random(int(sticky_key, 16))
-            chosen = window.plans[rho] = tuple(picker.sample(eligible, rho))
-        return chosen
+        eligible.sort(key=lambda ep: hashlib.sha256(json.dumps(
+            [window.window_id, ep.address, ep.transport]).encode()).digest())
+        return tuple(eligible[:rho])
 
     def fanout(self, query, rho: int) -> list:
-        """Forward a query to rho sticky-chosen responders; permute replies.
+        """Forward a query to the first rho of the window's ranking
+        (``_plan``); permute replies.
 
         ``query`` is a ``wire.RawQuery`` or a ``protocol.QueryMessage``;
-        only its ``account_id`` is read, and it goes to the transport as
-        is.  Requires an open consent window for the query's account.  Each
-        responder gets the per-responder timeout; when an early-return
+        only its ``account_id`` is read, and the transport gets this very
+        object.  Requires an open consent window for the query's account.
+        Each responder gets the per-responder timeout; when an early-return
         fraction is configured, returns as soon as that share of replies
         arrived.  The reply order is freshly and uniformly permuted.
 

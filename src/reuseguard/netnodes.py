@@ -155,23 +155,35 @@ _UNREADABLE_FRAME = -1
 IDLE_TIMEOUT_S = 10.0
 
 
+def _arm(sock: socket.socket, deadline: float) -> None:
+    """Give ``sock`` the time left before ``deadline`` (``time.monotonic``);
+    raise ``socket.timeout`` when none is left."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("deadline passed")
+    sock.settimeout(remaining)
+
+
+def _read_frame_by(sock: socket.socket, deadline: float) -> Tuple[int, bytes]:
+    """Read one frame from ``sock`` before ``deadline``.  The deadline bounds
+    the whole frame, not each read, so a peer that trickles bytes times out
+    like a silent one."""
+
+    def read(n: int) -> bytes:
+        _arm(sock, deadline)
+        return sock.recv(min(n, 1 << 16))  # not n: a header may claim 64 MB
+
+    return wire.read_frame(read)
+
+
 class _FrameHandler(socketserver.BaseRequestHandler):
     """Reads one frame and sends back the server's ``dispatch`` of it."""
 
     def handle(self):
         sock = self.request
-        deadline = time.monotonic() + IDLE_TIMEOUT_S
-
-        def read(n: int) -> bytes:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("request frame not received in time")
-            sock.settimeout(remaining)
-            return sock.recv(min(n, 1 << 16))  # not n: a header may claim 64 MB
-
         try:
-            opcode, payload = wire.read_frame(read)
-        except (FrameError, socket.timeout):
+            opcode, payload = _read_frame_by(sock, time.monotonic() + IDLE_TIMEOUT_S)
+        except (FrameError, OSError):  # a bad frame, a timeout, a reset
             opcode, payload = _UNREADABLE_FRAME, b""
         reply = wire.encode_frame(*self.server.dispatch(opcode, payload))
         try:
@@ -228,15 +240,16 @@ def _parse_addr(addr: str) -> Tuple[str, int]:
 
 def tcp_request(address: str, opcode: int, payload: bytes, timeout: float
                 ) -> Tuple[int, bytes]:
-    """One frame out, one back, one connection.  Never retried: a register,
-    a consent request or a query sent twice is not one sent once."""
+    """One frame out, one back, one connection, all within ``timeout``.
+    Every failure, a timeout included, is a ``TransportError``.  Never
+    retried: a register, a consent request or a query sent twice is not
+    one sent once."""
+    deadline = time.monotonic() + timeout
     try:
         with socket.create_connection(_parse_addr(address), timeout=timeout) as sock:
+            _arm(sock, deadline)
             sock.sendall(wire.encode_frame(opcode, payload))
-            with sock.makefile("rb") as reader:
-                return wire.read_frame(reader.read)
-    except socket.timeout as exc:
-        raise TimeoutError(str(exc)) from exc
+            return _read_frame_by(sock, deadline)
     except (OSError, FrameError) as exc:
         raise TransportError(f"request to {address} failed: {exc}") from exc
 

@@ -144,10 +144,12 @@ def optimize(t_goal: float, r_a: int, d: int, model: LatencyModel,
              curve: ReuseCurve = DEFAULT_REUSE_CURVE) -> PlanResult:
     """Maximize tdr subject to t(rho, n) <= t_goal, 1 <= rho <= r_a.
 
-    n ranges over multiples of (d + 1) so per-seed budgets divide evenly.
-    Exhaustive search; ties break toward larger rho, then larger n, then
-    smaller predicted time.  Raises InfeasibleError when not even the
-    cheapest setting fits the goal.
+    n ranges over multiples of (d + 1) so per-seed budgets divide evenly,
+    up to (d + 1) * ceil(x of the curve's last anchor): past that the reuse
+    probability is flat, so the search ends even when time does not grow
+    with n.  Exhaustive search; ties break toward larger rho, then larger
+    n, then smaller predicted time.  Raises InfeasibleError when not even
+    the cheapest setting fits the goal.
     """
     if r_a < 1:
         raise InfeasibleError("no responders registered")
@@ -159,7 +161,8 @@ def optimize(t_goal: float, r_a: int, d: int, model: LatencyModel,
     best_key = None
     step = d + 1
     n = step
-    while predict_time(model, 1, n) <= t_goal:
+    n_max = step * math.ceil(curve.anchors[-1][0])
+    while n <= n_max and predict_time(model, 1, n) <= t_goal:
         p = reuse_probability(curve, n / (d + 1))
         for rho in range(1, r_a + 1):
             t = predict_time(model, rho, n)

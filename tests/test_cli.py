@@ -49,6 +49,17 @@ def test_planner_optimize_with_files(tmp_path, capsys):
     assert "rho = 3" in out
 
 
+def test_planner_optimize_ends_when_time_does_not_grow_with_n(tmp_path):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("c0 = 0.001\nc1 = 0\nc2 = 0.001\nc3 = 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "reuseguard.run", "planner", "optimize",
+         "--t-goal", "0.004", "--responders", "8", "--coeffs", str(coeffs)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "n = 5000\nrho = 3\n" in proc.stdout
+
+
 def test_planner_fit_roundtrip(tmp_path, capsys):
     rows = ["rho,n,time"]
     for rho in (1, 8, 16, 24):
@@ -104,10 +115,16 @@ OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
     ("planner", OPTIMIZE + ["--curve", "{bad_curve}"], "error: "),
     ("directoryd", ["--listen", "{busy}"], "error: "),
     ("responder", ["--store", "{empty_store}", "--listen", "{busy}"], "error: "),
+] + [
+    ("directoryd", ["--listen", "127.0.0.1:0", "--early-return-fraction", fraction], "error: ")
+    for fraction in ("nan", "inf", "0", "-1", "1.5")
 ], ids=["directoryd-log-does-not-replay", "responder-missing-store", "fit-missing-csv",
         "optimize-missing-coeffs", "optimize-malformed-coeffs",
         "optimize-missing-curve", "optimize-malformed-curve",
-        "directoryd-port-in-use", "responder-port-in-use"])
+        "directoryd-port-in-use", "responder-port-in-use",
+        "directoryd-fraction-nan", "directoryd-fraction-inf",
+        "directoryd-fraction-zero", "directoryd-fraction-negative",
+        "directoryd-fraction-above-one"])
 def test_cli_reports_a_bad_input_in_one_line(tmp_path, capsys, tool, argv, prefix):
     bad_log_dir = tmp_path / "dstate"
     bad_log_dir.mkdir()

@@ -257,6 +257,76 @@ def test_fanout_redrawn_across_windows():
     assert len(set(subsets)) > 1
 
 
+def _reached(d, query, rho, transport):
+    transport.calls.clear()
+    d.fanout(query, rho)
+    return set(transport.calls)
+
+
+def test_responder_flagged_mid_window_gets_no_later_query():
+    def transport(endpoint, query, timeout):
+        calls.append(endpoint.address)
+        if endpoint.address == "liar":  # claims every query reuses a password
+            return protocol.ResponseMessage(
+                elgamal.encrypt(query.pk, query.pk.group.identity))
+        return protocol.respond(query, similarity.SimilarSet(query.account_id, (), 0, 0))
+
+    calls = []
+    d = Directory(transport, rng=random.Random(23))
+    for addr in ("b", "c", "liar"):
+        d.register(ACCOUNT, ResponderEndpoint(addr))
+    query, _ = make_query()
+    while "liar" not in calls:  # a window whose plan holds the liar
+        open_window(d)
+        calls.clear()
+        d.fanout(query, 2)
+    assert d.audit_responder(ResponderEndpoint("liar")) is AuditVerdict.LYING
+    calls.clear()
+    d.fanout(query, 2)
+    assert sorted(calls) == ["b", "c"]
+
+
+def test_responder_deregistered_mid_window_gets_no_later_query():
+    d, transport = directory_with_responders(3)
+    open_window(d)
+    query, _ = make_query()
+    gone = sorted(_reached(d, query, 2, transport))[0]
+    d.deregister(ACCOUNT, ResponderEndpoint(gone))
+    assert _reached(d, query, 2, transport) == {"resp-0", "resp-1", "resp-2"} - {gone}
+
+
+def test_plans_within_a_window_are_prefixes_of_one_order():
+    d, transport = directory_with_responders(8)
+    query, _ = make_query()
+    for _ in range(5):
+        open_window(d)
+        reached = [_reached(d, query, rho, transport) for rho in range(1, 5)]
+        for smaller, larger in zip(reached, reached[1:]):
+            assert smaller < larger
+        assert len(set().union(*reached)) == 4
+
+
+def test_chosen_subset_uniform_across_windows():
+    def transport(endpoint, query, timeout):
+        calls.append(endpoint.address)
+        return b""
+
+    calls = []
+    d = Directory(transport, rng=random.Random(29))
+    for i in range(5):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    query, _ = make_query()
+    counts = {}
+    for _ in range(2000):
+        open_window(d)
+        calls.clear()
+        d.fanout(query, 2)
+        subset = frozenset(calls)
+        counts[subset] = counts.get(subset, 0) + 1
+    assert len(counts) == 10 and all(len(s) == 2 for s in counts)
+    assert stats.chisquare(list(counts.values())).pvalue > 0.001
+
+
 def test_fanout_timeouts_are_tolerated():
     sets = {f"r{i}": similarity.build_similar_set(ACCOUNT, "pw", 0, 3, CHEAP)
             for i in range(4)}

@@ -275,6 +275,49 @@ def test_request_is_sent_once_when_the_reply_is_lost():
     assert len(accepted) == 1
 
 
+def _timed_request(address, timeout=0.3):
+    """Seconds until ``tcp_request`` raises ``TransportError``."""
+    start = time.monotonic()
+    with pytest.raises(TransportError):
+        tcp_request(address, wire.OP_NEGOTIATE, wire.encode_text(ACCOUNT), timeout)
+    return time.monotonic() - start
+
+
+def test_request_to_a_silent_server_raises_transport_error_in_time():
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+        assert _timed_request("127.0.0.1:%d" % listener.getsockname()[1]) < 1.0
+
+
+def test_request_to_a_trickling_server_raises_transport_error_in_time():
+    # A 12-byte reply at one byte every 0.15 s takes 1.65 s; each byte
+    # arrives well inside the 0.3 s timeout, so only a deadline on the
+    # whole exchange gives up within about one timeout.
+    reply = wire.encode_frame(wire.OP_COUNT, wire.encode_count(4))
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def trickle():
+        conn, _ = listener.accept()
+        with conn:
+            for i in range(len(reply)):
+                try:
+                    conn.sendall(reply[i:i + 1])
+                except OSError:
+                    return
+                if stop.wait(0.15):
+                    return
+
+    server = threading.Thread(target=trickle, daemon=True)
+    server.start()
+    try:
+        assert _timed_request("127.0.0.1:%d" % listener.getsockname()[1]) < 1.0
+    finally:
+        stop.set()
+        server.join(timeout=5.0)
+        listener.close()
+    assert not server.is_alive()
+
+
 # -- full flow over sockets ----------------------------------------------------
 
 @pytest.fixture

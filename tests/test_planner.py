@@ -189,6 +189,13 @@ def test_optimize_output_always_feasible(t_goal, r_a, d):
     assert plan.n >= 1 and plan.n % (d + 1) == 0
 
 
+def test_optimize_stops_at_the_last_anchor_when_time_is_flat_in_n():
+    flat = LatencyModel(0.001, 0.0, 0.001, 0.0)
+    plan = optimize(0.004, 8, 0, flat)
+    assert (plan.n, plan.rho) == (5000, 3)
+    assert optimize(0.004, 8, 2, flat).n == 15000
+
+
 def test_parse_curve_file():
     curve = parse_curve_file("# comment\n1,0.3\n10,0.4\n\n100,0.45\n")
     assert curve.anchors == ((1.0, 0.3), (10.0, 0.4), (100.0, 0.45))
