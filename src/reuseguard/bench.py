@@ -44,6 +44,10 @@ class BenchScenario:
     profile: Optional[LatencyProfile] = None
     qualifying_threshold_s: float = 5.0
 
+    def __post_init__(self):
+        if min(self.n_values + self.rho_values + (self.rounds,)) < 1:
+            raise ValueError("every n, rho and the round count must be at least 1")
+
 
 @dataclass(frozen=True)
 class BenchRecord:

@@ -65,6 +65,9 @@ def planner_main(argv=None) -> int:
         except InfeasibleError as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:  # a negative --d
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"n = {plan.n}")
         print(f"rho = {plan.rho}")
         print(f"tdr = {plan.tdr:.4f}")
@@ -86,10 +89,14 @@ def planner_main(argv=None) -> int:
     if args.command == "bench":
         from .netnodes import PROFILES
         profile = None if args.profile == "none" else PROFILES[args.profile]
-        scenario = bench.BenchScenario(
-            curve=args.curve_id, n_values=tuple(args.n),
-            rho_values=tuple(args.rho), rounds=args.rounds, profile=profile,
-            qualifying_threshold_s=args.threshold)
+        try:
+            scenario = bench.BenchScenario(
+                curve=args.curve_id, n_values=tuple(args.n),
+                rho_values=tuple(args.rho), rounds=args.rounds, profile=profile,
+                qualifying_threshold_s=args.threshold)
+        except ValueError as exc:  # an n, rho or round count below 1
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         records = bench.bench_run(scenario)
         if args.out:
             with open(args.out, "w", newline="") as fh:
@@ -178,7 +185,7 @@ def requester_main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except ReuseGuardError as exc:
+    except (ReuseGuardError, ValueError) as exc:  # ValueError: a negative --d, a bad --directory
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if result.accepted:
@@ -218,7 +225,7 @@ def directoryd_main(argv=None) -> int:
             per_responder_timeout=TIMEOUT_PROFILES[args.profile],
             early_return_fraction=args.early_return_fraction,
             state_dir=args.state_dir)
-    except (ReuseGuardError, OSError, ValueError) as exc:  # a bad state dir or fraction
+    except (ReuseGuardError, OSError, ValueError) as exc:  # a bad state dir, fraction or window
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -35,7 +35,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from . import bloom, elgamal, protocol
+from . import bloom, elgamal, protocol, similarity
 from .errors import (
     ConsentRequiredError,
     ConsentTokenError,
@@ -84,10 +84,10 @@ def canonicalize(email: str) -> str:
 
 @dataclass(frozen=True, order=True)
 class ResponderEndpoint:
-    """Opaque (possibly pseudonymous) address plus a transport hint."""
+    """An opaque (possibly pseudonymous) ``host:port`` address; both
+    responder transports deliver by it alone."""
 
     address: str
-    transport: str = "tcp"
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,17 @@ class Directory:
     ``transport`` delivers one query to one endpoint within a timeout and
     returns the reply (raising ``InvalidCiphertextError`` when the
     responder rejected the query, ``TransportError`` or any other exception
-    on other failures).  ``early_return_fraction`` must be in (0, 1].
+    on other failures).  ``window_seconds`` must be finite and positive,
+    ``early_return_fraction`` in (0, 1].
 
     With ``state_dir``, registry and flag changes are appended to its one
-    state file, ``events.jsonl``.  Construction replays the file's complete
-    lines (a torn last line never counted), then swaps in a rewrite holding
-    only the live state: one ``register`` line per (account, endpoint) and
-    one ``flag`` line per flagged endpoint.  A line that does not replay,
-    or a ``snapshot.json`` left by an older version, raises ``StateError``.
-    Queries are not logged, and ``close`` writes nothing.
+    state file, ``events.jsonl``, as ``_event_line``s.  Construction replays
+    the file's complete lines (a torn last line never counted, any field but
+    ``op``, ``account`` and ``address`` ignored), then swaps in a rewrite
+    holding only the live state: one ``register`` line per (account,
+    endpoint) and one ``flag`` line per flagged endpoint.  A line that does
+    not replay, or a ``snapshot.json`` left by an older version, raises
+    ``StateError``.  Queries are not logged, and ``close`` writes nothing.
     """
 
     def __init__(self, transport: Optional[Transport] = None, *,
@@ -145,6 +147,8 @@ class Directory:
                  audit_group=P192,
                  clock: Callable[[], float] = time.time,
                  rng: Optional[random.Random] = None):
+        if not (math.isfinite(window_seconds) and window_seconds > 0):
+            raise ValueError(f"window of {window_seconds} s is not finite and positive")
         if early_return_fraction is not None and not 0 < early_return_fraction <= 1:
             raise ValueError(f"early return fraction {early_return_fraction} not in (0, 1]")
         self.transport = transport
@@ -256,7 +260,7 @@ class Directory:
     def _plan(self, window: _Window, account: str,
               rho: int) -> Tuple[ResponderEndpoint, ...]:
         """The first rho unflagged endpoints ranked by ``sha256(window id |
-        endpoint)``, stored nowhere: each rho gets a prefix of one random
+        address)``, stored nowhere: each rho gets a prefix of one random
         order per window, and an endpoint flagged or deregistered mid-window
         leaves at the next query."""
         eligible = [ep for ep in self._accounts.get(account, ())
@@ -266,7 +270,7 @@ class Directory:
                 f"{len(eligible)} responders registered, {rho} requested"
             )
         eligible.sort(key=lambda ep: hashlib.sha256(json.dumps(
-            [window.window_id, ep.address, ep.transport]).encode()).digest())
+            [window.window_id, ep.address]).encode()).digest())
         return tuple(eligible[:rho])
 
     def fanout(self, query, rho: int) -> list:
@@ -384,7 +388,7 @@ class Directory:
              account: Optional[str] = None) -> None:
         """Append one event; callers hold ``_lock``, so lines never interleave."""
         if self._log_fh is not None:
-            self._log_fh.write(_event_line(op, endpoint, account, self.clock()))
+            self._log_fh.write(_event_line(op, endpoint, account))
             self._log_fh.flush()
 
     def close(self) -> None:
@@ -417,10 +421,10 @@ class Directory:
         op = event.get("op")
         if op not in ("register", "deregister", "flag"):
             return
-        keys = ("address", "transport") + (() if op == "flag" else ("account",))
+        keys = ("address",) if op == "flag" else ("address", "account")
         if not all(isinstance(event[key], str) for key in keys):
             raise TypeError(f"a {op} event with a field that is not a string")
-        endpoint = ResponderEndpoint(event["address"], event["transport"])
+        endpoint = ResponderEndpoint(event["address"])
         if op == "flag":
             self._flagged.add(endpoint)
         elif op == "register":
@@ -430,23 +434,16 @@ class Directory:
 
     def _compact(self, log_path: str) -> None:
         """Replace the log with the live state, written whole before the swap."""
-        now = self.clock()
-        tmp = log_path + ".tmp"
-        with open(tmp, "w") as fh:
-            for account, endpoints in self._accounts.items():
-                fh.writelines(_event_line("register", ep, account, now)
-                              for ep in sorted(endpoints))
-            fh.writelines(_event_line("flag", ep, None, now)
-                          for ep in sorted(self._flagged))
-            fh.flush()
-            os.fsync(fh.fileno())
-        # A crash leaves either the old log or the new one, never half.
-        os.replace(tmp, log_path)
+        lines = [_event_line("register", ep, account)
+                 for account, endpoints in self._accounts.items()
+                 for ep in sorted(endpoints)]
+        lines += [_event_line("flag", ep) for ep in sorted(self._flagged)]
+        similarity.replace_file(log_path, "".join(lines).encode())
 
 
-def _event_line(op: str, endpoint: ResponderEndpoint, account: Optional[str],
-                ts: float) -> str:
-    """One ``events.jsonl`` line; a ``flag`` event names no account."""
+def _event_line(op: str, endpoint: ResponderEndpoint,
+                account: Optional[str] = None) -> str:
+    """One ``events.jsonl`` line: ``op``, ``account`` (absent for a
+    ``flag``) and ``address``, nothing else."""
     event = {"op": op} if account is None else {"op": op, "account": account}
-    return json.dumps(dict(event, address=endpoint.address,
-                           transport=endpoint.transport, ts=ts)) + "\n"
+    return json.dumps(dict(event, address=endpoint.address)) + "\n"

@@ -351,9 +351,9 @@ class DirectoryServer(_FrameServer):
         ``MalformedAddressError``."""
         directory = self.directory
         if opcode in (wire.OP_REGISTER, wire.OP_DEREGISTER):
-            account, address, transport = wire.decode_register(payload)
+            account, address = wire.decode_register(payload)
             change = directory.register if opcode == wire.OP_REGISTER else directory.deregister
-            ack = change(account, ResponderEndpoint(address, transport))
+            ack = change(account, ResponderEndpoint(address))
             return wire.OP_ACK, wire.encode_ack(ack.ok, ack.warning or "")
         if opcode == wire.OP_BEGIN_CONSENT:
             token = directory.begin_consent(wire.decode_text(payload))
@@ -365,8 +365,8 @@ class DirectoryServer(_FrameServer):
             count = directory.responder_count(wire.decode_text(payload))
             return wire.OP_COUNT, wire.encode_count(count)
         if opcode == wire.OP_AUDIT:
-            _, address, transport = wire.decode_register(payload)
-            verdict = directory.audit_responder(ResponderEndpoint(address, transport))
+            address = wire.decode_text(payload)
+            verdict = directory.audit_responder(ResponderEndpoint(address))
             return wire.OP_VERDICT, wire.encode_text(verdict.value)
         raise FrameError(f"unknown opcode {opcode}")
 
@@ -408,17 +408,13 @@ class DirectoryClient:
             raise TransportError(f"unexpected opcode {got_op}")
         return body
 
-    def register(self, account: str, address: str, transport: str = "tcp") -> Tuple[bool, str]:
-        body = self._call(wire.OP_REGISTER,
-                          wire.encode_register(account, address, transport),
-                          wire.OP_ACK)
-        return wire.decode_ack(body)
+    def register(self, account: str, address: str) -> Tuple[bool, str]:
+        return wire.decode_ack(self._call(
+            wire.OP_REGISTER, wire.encode_register(account, address), wire.OP_ACK))
 
-    def deregister(self, account: str, address: str, transport: str = "tcp") -> Tuple[bool, str]:
-        body = self._call(wire.OP_DEREGISTER,
-                          wire.encode_register(account, address, transport),
-                          wire.OP_ACK)
-        return wire.decode_ack(body)
+    def deregister(self, account: str, address: str) -> Tuple[bool, str]:
+        return wire.decode_ack(self._call(
+            wire.OP_DEREGISTER, wire.encode_register(account, address), wire.OP_ACK))
 
     def begin_consent(self, account: str) -> str:
         return wire.decode_text(
@@ -448,11 +444,9 @@ class DirectoryClient:
                 continue
         return responses
 
-    def audit(self, address: str, transport: str = "tcp") -> str:
-        body = self._call(wire.OP_AUDIT,
-                          wire.encode_register("", address, transport),
-                          wire.OP_VERDICT)
-        return wire.decode_text(body)
+    def audit(self, address: str) -> str:
+        return wire.decode_text(
+            self._call(wire.OP_AUDIT, wire.encode_text(address), wire.OP_VERDICT))
 
 
 # -- the password-setting flow ----------------------------------------------

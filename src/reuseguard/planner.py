@@ -148,9 +148,11 @@ def optimize(t_goal: float, r_a: int, d: int, model: LatencyModel,
     up to (d + 1) * ceil(x of the curve's last anchor): past that the reuse
     probability is flat, so the search ends even when time does not grow
     with n.  Exhaustive search; ties break toward larger rho, then larger
-    n, then smaller predicted time.  Raises InfeasibleError when not even
-    the cheapest setting fits the goal.
+    n, then smaller predicted time.  Raises ValueError for d < 0 and
+    InfeasibleError when not even the cheapest setting fits the goal.
     """
+    if d < 0:
+        raise ValueError(f"honeyword count d={d} is negative")
     if r_a < 1:
         raise InfeasibleError("no responders registered")
     if predict_time(model, 1, 1) > t_goal:

@@ -12,6 +12,7 @@ identical digest for a candidate password on its own.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -27,21 +28,20 @@ _STORE_VERSION = 1
 
 @dataclass(frozen=True)
 class SlowHashParams:
-    """Cost parameters for the similar-set hash H (scrypt)."""
+    """Cost parameters for the similar-set hash H (scrypt, parallelism 1)."""
 
     log2_n: int = 15
     r: int = 8
-    p: int = 1
 
     @property
     def maxmem(self) -> int:
-        return 128 * self.r * ((1 << self.log2_n) + 2 * self.p) + 16384
+        return 128 * self.r * ((1 << self.log2_n) + 2) + 16384
 
 
 DEFAULT_HASH_PARAMS = SlowHashParams()
 
 # Fast profile for tests and benchmarks where hash hardness is irrelevant.
-CHEAP_HASH_PARAMS = SlowHashParams(log2_n=4, r=1, p=1)
+CHEAP_HASH_PARAMS = SlowHashParams(log2_n=4, r=1)
 
 
 def _account_salt(account_id: str) -> bytes:
@@ -56,7 +56,7 @@ def bloom_item(password: str, account_id: str,
         salt=_account_salt(account_id),
         n=1 << params.log2_n,
         r=params.r,
-        p=params.p,
+        p=1,
         maxmem=params.maxmem,
         dklen=DIGEST_BYTES,
     )
@@ -295,16 +295,27 @@ def build_similar_set(account_id: str, password: str, d: int, capacity: int,
     return SimilarSet(account_id, tuple(entries), d, capacity)
 
 
+def replace_file(path: str, data: bytes) -> None:
+    """Write ``data`` to a tmp file, fsync it and swap it in for ``path``,
+    so a crash leaves either the old file or the new one, never half."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def save_similar_set(sset: SimilarSet, path: str) -> None:
     """Flat record: header (account, d, capacity, count) + digest array."""
     account = sset.account_id.encode()
-    with open(path, "wb") as fh:
-        fh.write(_STORE_MAGIC)
-        fh.write(struct.pack(">BH", _STORE_VERSION, len(account)))
-        fh.write(account)
-        fh.write(struct.pack(">HII", sset.d, sset.capacity, len(sset.entries)))
-        for digest in sset.entries:
-            fh.write(digest)
+    replace_file(path, b"".join([
+        _STORE_MAGIC,
+        struct.pack(">BH", _STORE_VERSION, len(account)),
+        account,
+        struct.pack(">HII", sset.d, sset.capacity, len(sset.entries)),
+        *sset.entries,
+    ]))
 
 
 def load_similar_set(path: str) -> SimilarSet:

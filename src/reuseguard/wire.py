@@ -258,19 +258,19 @@ def decode_error(payload: bytes) -> int:
 
 # Coordinator API payloads ------------------------------------------------
 
-def encode_register(account: str, address: str, transport: str) -> bytes:
-    return _lp(account.encode()) + _lp(address.encode()) + _lp(transport.encode())
+def encode_register(account: str, address: str) -> bytes:
+    return _lp(account.encode()) + _lp(address.encode())
 
 
-def decode_register(payload: bytes) -> Tuple[str, str, str]:
+def decode_register(payload: bytes) -> Tuple[str, str]:
     cur = _Cursor(payload)
-    out = (cur.text(), cur.text(), cur.text())
+    out = (cur.text(), cur.text())
     cur.done()
     return out
 
 
 def encode_text(text: str) -> bytes:
-    """An account, a consent token or an audit verdict: one text field."""
+    """One text field: an account, a consent token, an audited address or a verdict."""
     return _lp(text.encode())
 
 

@@ -115,16 +115,26 @@ OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
     ("planner", OPTIMIZE + ["--curve", "{bad_curve}"], "error: "),
     ("directoryd", ["--listen", "{busy}"], "error: "),
     ("responder", ["--store", "{empty_store}", "--listen", "{busy}"], "error: "),
+    ("planner", OPTIMIZE + ["--d", "-1"], "error: "),
+    ("planner", ["bench", "--n", "0"], "error: "),
+    ("planner", ["bench", "--rho", "0"], "error: "),
+    ("planner", ["bench", "--rounds", "0"], "error: "),
 ] + [
     ("directoryd", ["--listen", "127.0.0.1:0", "--early-return-fraction", fraction], "error: ")
     for fraction in ("nan", "inf", "0", "-1", "1.5")
+] + [
+    ("directoryd", ["--listen", "127.0.0.1:0", "--window-seconds", seconds], "error: ")
+    for seconds in ("nan", "inf", "0", "-5")
 ], ids=["directoryd-log-does-not-replay", "responder-missing-store", "fit-missing-csv",
         "optimize-missing-coeffs", "optimize-malformed-coeffs",
         "optimize-missing-curve", "optimize-malformed-curve",
         "directoryd-port-in-use", "responder-port-in-use",
+        "optimize-negative-d", "bench-n-zero", "bench-rho-zero", "bench-rounds-zero",
         "directoryd-fraction-nan", "directoryd-fraction-inf",
         "directoryd-fraction-zero", "directoryd-fraction-negative",
-        "directoryd-fraction-above-one"])
+        "directoryd-fraction-above-one",
+        "directoryd-window-nan", "directoryd-window-inf",
+        "directoryd-window-zero", "directoryd-window-negative"])
 def test_cli_reports_a_bad_input_in_one_line(tmp_path, capsys, tool, argv, prefix):
     bad_log_dir = tmp_path / "dstate"
     bad_log_dir.mkdir()
@@ -270,3 +280,24 @@ def test_requester_reports_failure_when_no_responder_answers(capsys):
     assert rc == 4
     assert "accepted" not in captured.out
     assert "answered" in captured.err
+
+
+@pytest.mark.parametrize("directory_address, extra", [
+    ("{served}", ["--d", "-1"]),
+    ("no-port", []),
+], ids=["negative-d", "bad-directory-address"])
+def test_requester_reports_a_bad_input_in_one_line(capsys, directory_address, extra):
+    directory = Directory(make_tcp_responder_transport(), rng=random.Random(2))
+    directory.register("user@example.com", ResponderEndpoint("127.0.0.1:1"))
+    dserver = serve_directory(directory, "127.0.0.1:0")
+    try:
+        rc = requester_main(["--directory", directory_address.format(served=dserver.address),
+                             "--account", "user@example.com", "--t-goal", "0.05",
+                             "--password", "hunter2", "--hash-cost", "4",
+                             "--auto-consent", *extra])
+    finally:
+        dserver.shutdown()
+        dserver.server_close()
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: ") and err.count("\n") == 1, err

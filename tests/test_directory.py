@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import tempfile
@@ -214,6 +215,12 @@ def test_consent_state_is_bounded():
     d.begin_consent(ACCOUNT)
     assert len(d._tokens) == 1
     assert d._windows == {}
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, 0.0, -5.0])
+def test_window_length_must_be_finite_and_positive(seconds):
+    with pytest.raises(ValueError):
+        Directory(None, window_seconds=seconds)
 
 
 # -- fan-out -----------------------------------------------------------------
@@ -536,6 +543,7 @@ def test_failed_rewrite_keeps_the_old_log(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(directory, "open", tracking_open, raising=False)
+    monkeypatch.setattr(similarity, "open", tracking_open, raising=False)
     for name in ("fsync", "replace"):
         with monkeypatch.context() as patch:
             patch.setattr(os, name, disk_full)
@@ -632,7 +640,7 @@ def _fold(events):
     """Reference replay: the registry and flags a list of events leaves."""
     accounts, flagged = {}, set()
     for event in events:
-        ep = ResponderEndpoint(event.get("address"), event.get("transport"))
+        ep = ResponderEndpoint(event.get("address"))
         if event["op"] == "register":
             accounts.setdefault(event["account"], set()).add(ep)
         elif event["op"] == "deregister":
@@ -727,6 +735,35 @@ def test_replay_from_log_without_snapshot(tmp_path):
     assert d.responder_count(ACCOUNT) == 1
     assert ResponderEndpoint("b:1") in d.flagged
     d.close()
+
+
+def test_older_log_replays_and_is_rewritten_as_op_account_address(tmp_path):
+    """Older versions wrote a transport and a ts on every line."""
+    events = [
+        {"op": "register", "account": ACCOUNT, "address": "a:1", "transport": "tcp"},
+        {"op": "register", "account": ACCOUNT, "address": "b:1", "transport": "udp"},
+        {"op": "register", "account": "o@example.com", "address": "c:1",
+         "transport": "tcp"},
+        {"op": "deregister", "account": "o@example.com", "address": "c:1",
+         "transport": "tcp"},
+        {"op": "flag", "address": "b:1", "transport": "udp"},
+    ]
+    state = tmp_path / "dstate"
+    state.mkdir()
+    (state / "events.jsonl").write_text(
+        "".join(json.dumps(dict(e, ts=1000.0 + i)) + "\n" for i, e in enumerate(events)))
+    d = Directory(None, state_dir=str(state))
+    registry = {ACCOUNT: {ResponderEndpoint("a:1"), ResponderEndpoint("b:1")}}
+    assert (d._accounts, d.flagged) == (registry, {ResponderEndpoint("b:1")})
+    d.register(ACCOUNT, ResponderEndpoint("d:1"))
+    d.close()
+    lines = [json.loads(line) for line in (state / "events.jsonl").read_text().splitlines()]
+    assert lines == [
+        {"op": "register", "account": ACCOUNT, "address": "a:1"},
+        {"op": "register", "account": ACCOUNT, "address": "b:1"},
+        {"op": "flag", "address": "b:1"},
+        {"op": "register", "account": ACCOUNT, "address": "d:1"},
+    ]
 
 
 def test_fanout_raises_only_when_every_chosen_responder_rejects():

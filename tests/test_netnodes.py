@@ -87,6 +87,36 @@ def test_store_save_load_roundtrip(tmp_path):
     assert loaded.get(ACCOUNT) == store.get(ACCOUNT)
 
 
+class _DiskFull:
+    """A file that takes half of a write, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_the_old_store(tmp_path, monkeypatch):
+    old = similarity.build_similar_set(ACCOUNT, "pw-old", 0, 4, CHEAP)
+    store = ResponderStore({ACCOUNT: old})
+    store.save(str(tmp_path))
+    store.add(similarity.build_similar_set(ACCOUNT, "pw-new", 0, 4, CHEAP))
+    monkeypatch.setattr(similarity, "open", lambda *args: _DiskFull(open(*args)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        store.save(str(tmp_path))
+    monkeypatch.undo()
+    assert ResponderStore.load(str(tmp_path)).get(ACCOUNT) == old
+
+
 def test_store_load_single_file(tmp_path):
     sset = similarity.build_similar_set(ACCOUNT, "pw", 0, 4, CHEAP)
     path = tmp_path / "one.simset"
@@ -418,6 +448,38 @@ def test_directory_audit_over_wire(small_deployment):
     assert client.audit("127.0.0.1:1") == "inconclusive"
 
 
+def test_audit_request_is_the_address_alone(small_deployment, monkeypatch):
+    dserver, servers = small_deployment
+    sent = []
+
+    def recording_request(address, opcode, payload, timeout):
+        if address == dserver.address:  # not the directory's own probe
+            sent.append((opcode, payload))
+        return tcp_request(address, opcode, payload, timeout)
+
+    monkeypatch.setattr(netnodes, "tcp_request", recording_request)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(13))
+    assert client.audit(servers[0].address) == "honest"
+    assert sent == [(wire.OP_AUDIT, wire.encode_text(servers[0].address))]
+
+
+def test_directory_answers_an_older_clients_requests_as_malformed(small_deployment):
+    """An older client sent a transport after a register's address and an
+    empty account before an audit's."""
+    dserver, servers = small_deployment
+    def fields(*texts):
+        return b"".join(wire.encode_text(text) for text in texts)
+
+    for opcode, payload in (
+            (wire.OP_REGISTER, fields(ACCOUNT, "new:1", "tcp")),
+            (wire.OP_DEREGISTER, fields(ACCOUNT, servers[0].address, "tcp")),
+            (wire.OP_AUDIT, fields("", servers[0].address, "tcp"))):
+        _assert_padded_error(tcp_request(dserver.address, opcode, payload, 5.0),
+                             wire.ERR_MALFORMED)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(14))
+    assert client.negotiate(ACCOUNT) == 4
+
+
 def test_inprocess_transport_matches_tcp_semantics():
     stores = {"here": ResponderStore()}
     stores["here"].add(similarity.build_similar_set(ACCOUNT, "pw-x", 0, 4,
@@ -476,7 +538,7 @@ def test_responder_answers_non_utf8_account_with_padded_error(responder_server):
 
 def test_directory_answers_non_utf8_fields_with_padded_error(small_deployment):
     dserver, _ = small_deployment
-    bad_register = wire._lp(b"\xff\xfe") + wire._lp(b"h:1") + wire._lp(b"tcp")
+    bad_register = wire._lp(b"\xff\xfe") + wire._lp(b"h:1")
     for opcode, payload in (
             (wire.OP_QUERY, wire.encode_directory_query(1, _non_utf8_account_payload())),
             (wire.OP_REGISTER, bad_register),
@@ -658,7 +720,7 @@ def _assert_padded_error(reply, code):
 
 def test_directory_answers_a_non_email_account_as_malformed(small_deployment):
     dserver, servers = small_deployment
-    payload = wire.encode_register("not-an-email", servers[0].address, "tcp")
+    payload = wire.encode_register("not-an-email", servers[0].address)
     _assert_padded_error(tcp_request(dserver.address, wire.OP_REGISTER, payload, 5.0),
                          wire.ERR_MALFORMED)
     client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(20))
@@ -669,7 +731,7 @@ def test_directory_answers_a_non_email_account_as_malformed(small_deployment):
 
 def test_directory_answers_a_truncated_register_as_malformed(small_deployment):
     dserver, servers = small_deployment
-    payload = wire.encode_register(ACCOUNT, servers[0].address, "tcp")[:-1]
+    payload = wire.encode_register(ACCOUNT, servers[0].address)[:-1]
     _assert_padded_error(tcp_request(dserver.address, wire.OP_REGISTER, payload, 5.0),
                          wire.ERR_MALFORMED)
 

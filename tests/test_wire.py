@@ -183,8 +183,9 @@ def test_response_schema_is_exactly_one_ciphertext():
 @settings(max_examples=100)
 @given(st.text(max_size=40), st.text(max_size=40))
 def test_register_payload_roundtrip(account, address):
-    payload = wire.encode_register(account, address, "tcp")
-    assert wire.decode_register(payload) == (account, address, "tcp")
+    payload = wire.encode_register(account, address)
+    assert payload == wire.encode_text(account) + wire.encode_text(address)
+    assert wire.decode_register(payload) == (account, address)
 
 
 @settings(max_examples=50)
@@ -237,8 +238,8 @@ def test_non_utf8_text_is_a_frame_error():
     for decode, payload in (
             (wire.parse_query_header, query_payload),
             (wire.decode_query, query_payload),
-            (wire.decode_register, wire._lp(bad) + wire._lp(b"h:1") + wire._lp(b"tcp")),
-            (wire.decode_register, wire._lp(b"a@b.co") + wire._lp(b"h:1") + wire._lp(bad)),
+            (wire.decode_register, wire._lp(bad) + wire._lp(b"h:1")),
+            (wire.decode_register, wire._lp(b"a@b.co") + wire._lp(bad)),
             (wire.decode_text, wire._lp(bad)),
             (wire.decode_ack, b"\x01" + wire._lp(bad))):
         with pytest.raises(FrameError):
