@@ -200,8 +200,8 @@ class FixedBaseTable:
         self.bits = bits
         self.rows = [flat[i * size:(i + 1) * size] for i in range(windows)]
 
-    def mul_jacobian(self, k: int):
-        """k * B as an unnormalized Jacobian point."""
+    def mul(self, k: int) -> Point:
+        """k * B, accumulated in Jacobian form and normalized once."""
         p, a = self.group.p, self.group.a
         bits, mask = self.bits, (1 << self.bits) - 1
         k %= self.group.order
@@ -213,10 +213,7 @@ class FixedBaseTable:
             if d:
                 acc = _jac_add_affine(acc, row[d], p, a)
             k >>= bits
-        return acc
-
-    def mul(self, k: int) -> Point:
-        return _jac_to_affine(self.mul_jacobian(k), self.group.p)
+        return _jac_to_affine(acc, p)
 
 
 # Smallest batch that exp_generator_many runs through the 8-bit comb.  The
@@ -314,12 +311,46 @@ class EllipticCurveGroup:
         return self.generator_table().mul(z)
 
     def exp_generator_many(self, scalars: Sequence[int]) -> list:
-        """``[exp_generator(z) for z in scalars]`` with one field inversion.
+        """``[exp_generator(z) for z in scalars]`` by a lockstep affine comb.
 
-        Batches of at least ``COMB8_MIN_BATCH`` scalars use the 8-bit comb.
+        The whole batch walks the comb one window at a time.  In each window
+        every accumulator with a nonzero digit d adds ``row[d]`` as an affine
+        point, and all of the window's slope denominators share one field
+        inversion through prefix products (Montgomery's trick), so an
+        addition costs about six multiplications.  Batches of at least
+        ``COMB8_MIN_BATCH`` scalars use the 8-bit comb, smaller ones the
+        4-bit comb.
         """
         table = self.generator_table(8 if len(scalars) >= COMB8_MIN_BATCH else 4)
-        return _batch_to_affine([table.mul_jacobian(z) for z in scalars], self.p)
+        p, bits, mask = self.p, table.bits, (1 << table.bits) - 1
+        shifts = range(0, bits * len(table.rows), bits)
+        digit_columns = zip(*[[(z >> s) & mask for s in shifts]
+                              for z in [z % self.order for z in scalars]])
+        accs = [None] * len(scalars)
+        for row, digits in zip(table.rows, digit_columns):
+            pending = []  # (index, acc, addend, product of earlier x-differences)
+            product = 1
+            for i, d in enumerate(digits):
+                if d:
+                    acc = accs[i]
+                    if acc is None:
+                        accs[i] = row[d]
+                    else:
+                        q = row[d]
+                        pending.append((i, acc, q, product))
+                        product = product * (q[0] - acc[0]) % p
+            # Before window w an accumulator holds k_low*G with
+            # 0 < k_low < 2^(bits*w), and row[d] is d*2^(bits*w)*G.  As the
+            # scalar k < r, k_low + d*2^(bits*w) <= k never reaches r, so the
+            # two points are never equal or opposite and no x-difference is
+            # 0.  Were one 0, pow would raise rather than return a wrong point.
+            inv = pow(product, -1, p)
+            for i, (x1, y1), (x2, y2), before in reversed(pending):
+                slope = (y2 - y1) * inv * before % p
+                inv = inv * (x2 - x1) % p
+                x3 = (slope * slope - x1 - x2) % p
+                accs[i] = (x3, (slope * (x1 - x3) - y1) % p)
+        return accs
 
     def random_scalar(self, rng=None) -> int:
         return (rng or _SYSTEM_RNG).randrange(self.order)

@@ -119,18 +119,22 @@ def blinded_complement_product(query: QueryMessage,
     final rerandomization, leaving the result uniform within its
     ciphertext class.  An empty complement degenerates to a fresh
     encryption of the identity.
+
+    Every slot is added into one of two products, inside J_S or outside
+    it, so the responder does ℓ additions per component whatever |J_S| is
+    and their count does not time its set.  Only the product outside J_S
+    is used.
     """
     rng = rng or _SYSTEM_RNG
     pk = query.pk
     group = pk.group
     j_s = set(responder_indices)
-    ephemerals = []
-    bodies = []
+    outside, inside = [], []
     for j, c in enumerate(query.ciphertexts):
-        if j not in j_s:
-            ephemerals.append(c.ephemeral)
-            bodies.append(c.body)
-    product = elgamal.Ciphertext(group.product(ephemerals), group.product(bodies))
+        (inside if j in j_s else outside).append(c)
+    product, _ = [elgamal.Ciphertext(group.product([c.ephemeral for c in side]),
+                                     group.product([c.body for c in side]))
+                  for side in (outside, inside)]
     nu = rng.randrange(1, group.order)  # Z*_r: zero excluded
     result = elgamal.hexp(pk, product, nu, rng)
     return ResponseMessage(result)

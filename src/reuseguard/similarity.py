@@ -11,6 +11,7 @@ identical digest for a candidate password on its own.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import random
@@ -50,16 +51,22 @@ def _account_salt(account_id: str) -> bytes:
 
 def bloom_item(password: str, account_id: str,
                params: SlowHashParams = DEFAULT_HASH_PARAMS) -> bytes:
-    """The 32-byte digest under which a password enters the Bloom filter."""
-    return hashlib.scrypt(
-        password.encode(),
-        salt=_account_salt(account_id),
-        n=1 << params.log2_n,
-        r=params.r,
-        p=1,
-        maxmem=params.maxmem,
-        dklen=DIGEST_BYTES,
-    )
+    """The 32-byte digest under which a password enters the Bloom filter.
+
+    Raises ``ValueError`` for a cost scrypt cannot run.
+    """
+    try:
+        return hashlib.scrypt(
+            password.encode(),
+            salt=_account_salt(account_id),
+            n=1 << params.log2_n,
+            r=params.r,
+            p=1,
+            maxmem=params.maxmem,
+            dklen=DIGEST_BYTES,
+        )
+    except OverflowError as exc:  # a cost too large for a C long
+        raise ValueError(f"scrypt cannot run at log2 cost {params.log2_n}: {exc}") from exc
 
 
 def _case_toggles(pw: str) -> List[str]:
@@ -297,13 +304,19 @@ def build_similar_set(account_id: str, password: str, d: int, capacity: int,
 
 def replace_file(path: str, data: bytes) -> None:
     """Write ``data`` to a tmp file, fsync it and swap it in for ``path``,
-    so a crash leaves either the old file or the new one, never half."""
+    so a crash leaves either the old file or the new one, never half.  A
+    failed write, fsync or replace removes the tmp file and re-raises."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # open itself may have failed
+            os.unlink(tmp)
+        raise
 
 
 def save_similar_set(sset: SimilarSet, path: str) -> None:

@@ -285,7 +285,9 @@ def test_requester_reports_failure_when_no_responder_answers(capsys):
 @pytest.mark.parametrize("directory_address, extra", [
     ("{served}", ["--d", "-1"]),
     ("no-port", []),
-], ids=["negative-d", "bad-directory-address"])
+    ("{served}", ["--hash-cost", "64"]),
+    ("{served}", ["--hash-cost", "0"]),
+], ids=["negative-d", "bad-directory-address", "hash-cost-64", "hash-cost-0"])
 def test_requester_reports_a_bad_input_in_one_line(capsys, directory_address, extra):
     directory = Directory(make_tcp_responder_transport(), rng=random.Random(2))
     directory.register("user@example.com", ResponderEndpoint("127.0.0.1:1"))

@@ -55,10 +55,13 @@ def test_fixed_base_table_matches_plain_exp(curve):
 
 
 def _edge_scalars(order):
-    return [0, 1, order - 1, 256, 512, 256 ** 3, order - order % 256]
+    # Unreduced multiples of the order, and a scalar whose only nonzero
+    # digit is in the top window of either comb width.
+    return [0, 1, order - 1, 256, 512, 256 ** 3, order - order % 256,
+            order, order + 1, 2 * order + 5, 1 << (order.bit_length() - 1)]
 
 
-@pytest.mark.parametrize("size", [0, 1, COMB8_MIN_BATCH - 1, COMB8_MIN_BATCH, 1000])
+@pytest.mark.parametrize("size", [0, 1, 2, 20, COMB8_MIN_BATCH - 1, COMB8_MIN_BATCH, 1000])
 @pytest.mark.parametrize("group", ALL_CURVES + [enumerable_group(101)],
                          ids=lambda g: g.name)
 def test_exp_generator_many_matches_exp_generator(group, size):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import threading
 from itertools import combinations
@@ -5,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from reuseguard import bloom, elgamal, groups, protocol, similarity
+from reuseguard.directory import Directory
 from reuseguard.errors import InvalidCiphertextError
-from reuseguard.groups import P192, P256, enumerable_group
+from reuseguard.groups import P160, P192, P224, P256, enumerable_group
 from reuseguard.protocol import (
     QueryMessage,
     blinded_complement_product,
@@ -85,6 +87,41 @@ def test_build_query_equals_per_slot_encryption(group):
                                hash_params=CHEAP, rng=random.Random(seed))
         assert query == _per_slot_reference_query(
             ACCOUNT, "hunter2", n_target, group, random.Random(seed))
+
+
+# sha256 of (seed, key, every slot) for a seeded n = 16 query and audit
+# query.  Affine points are unique, so no change to how the comb computes
+# them may move a byte.
+PINNED_QUERY_DIGESTS = {
+    "P160": ("47eb363b288bd4224c92c83f4c6f759caccb3026afcdacbb24c9749e5bd45458",
+             "771836cde5d06386e0a821c3372f41ca78b7a9755a2e72c7afb85a0b1e682ad7"),
+    "P192": ("6d71df71ec9ef3b789132acbd3b0bdf7327717f204117500234a4c03233f8534",
+             "d95c395e23914125ecdfa4c488393205cb6e4b1c25339dcd90c2e275fb015a2d"),
+    "P224": ("f04e3cbacfc9a1a2c50895aa8fa9b8ed208db77b8789fc09cdcd3cfa1d53dca7",
+             "c6bd34e12e33284c78690dea71411a51dd98a14d4a23380429cad2087b521aef"),
+    "P256": ("f8ebf462a6a7221928fab5ed680701aa7d80625db915d857c0aa45a552f48e1f",
+             "e21135a07521e33eaec88c0ce078ed6f1cc4fe78560e48b4eb036d43517fe7ce"),
+    "TEST(101)": ("385ea183cd1eef5610bf04943c1eaf78e675ee39cb585d47e9fc1db57ba4c375",
+                  "ca73657e32e75b41a07f8e4b4a8949e7e72a2f432a6e27ff3c77f799e06aafaa"),
+}
+
+
+def _query_digest(query):
+    group = query.pk.group
+    parts = [query.bloom.hash_family_seed, group.compress(query.pk.point)]
+    parts += [group.compress(e) for c in query.ciphertexts for e in c]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+@pytest.mark.parametrize("group", [P160, P192, P224, P256, enumerable_group(101)],
+                         ids=lambda g: g.name)
+def test_seeded_queries_keep_their_encodings(group):
+    # n = 16 runs the 8-bit comb over 924 scalars and the 4-bit comb over
+    # the k = 20 bodies; the audit query's 32 scalars take the 4-bit comb.
+    query, _ = build_query("pin@example.com", "hunter2", 16, group=group,
+                           hash_params=CHEAP, rng=random.Random(12))
+    audit, _ = Directory(audit_group=group).build_audit_query(random.Random(12))
+    assert (_query_digest(query), _query_digest(audit)) == PINNED_QUERY_DIGESTS[group.name]
 
 
 def test_query_hashes_while_its_slots_encrypt(monkeypatch, tg101):
@@ -216,6 +253,30 @@ def test_covering_index_set_yields_fresh_identity_encryption(rng, tg101):
     assert decode_result(session, r1) is True
     assert decode_result(session, r2) is True
     assert r1 != r2
+
+
+@pytest.mark.parametrize("covered", ["none", "half", "all"])
+def test_complement_product_adds_every_slot_whatever_j_s(monkeypatch, covered):
+    query, _ = build_query(ACCOUNT, "pw", 2, group=P192, hash_params=CHEAP,
+                           rng=random.Random(8))
+    ell = query.bloom.length_ell
+    j_s = range({"none": 0, "half": ell // 2, "all": ell}[covered])
+    outside = [c for j, c in enumerate(query.ciphertexts) if j not in j_s]
+    expected = elgamal.Ciphertext(P192.product([c.ephemeral for c in outside]),
+                                  P192.product([c.body for c in outside]))
+    additions = 0
+    add = groups._jac_add_affine
+
+    def counting_add(*args):
+        nonlocal additions
+        additions += 1
+        return add(*args)
+
+    monkeypatch.setattr(groups, "_jac_add_affine", counting_add)
+    monkeypatch.setattr(elgamal, "hexp", lambda pk, c, z, rng=None: c)  # the bare product
+    response = blinded_complement_product(query, j_s, random.Random(9))
+    assert additions == 2 * ell
+    assert response.result_ciphertext == expected
 
 
 def test_responses_to_same_query_are_distinct(rng):

@@ -168,6 +168,26 @@ def test_store_roundtrip(tmp_path):
     assert loaded == sset
 
 
+def test_failed_replace_keeps_the_old_file_and_leaves_no_tmp(tmp_path, monkeypatch):
+    path = tmp_path / "account.simset"
+    path.write_bytes(b"old")
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        similarity.replace_file(str(path), b"new")
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["account.simset"]
+
+
+@pytest.mark.parametrize("log2_n", [0, 64])
+def test_a_cost_scrypt_cannot_run_is_a_value_error(log2_n):
+    with pytest.raises(ValueError):
+        bloom_item("pw", "a@b.com", similarity.SlowHashParams(log2_n=log2_n))
+
+
 def test_store_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.simset"
     path.write_bytes(b"not a store at all")
