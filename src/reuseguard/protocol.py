@@ -171,12 +171,9 @@ def membership_oracle(password: str, similar_plaintexts: Sequence[str],
                       hash_params: similarity.SlowHashParams = similarity.DEFAULT_HASH_PARAMS
                       ) -> bool:
     """Reference Bloom test the protocol must agree with."""
-    item = similarity.bloom_item(password, account_id, hash_params)
-    union = bloom.index_union(
-        params,
-        [similarity.bloom_item(p, account_id, hash_params) for p in similar_plaintexts],
-    )
-    return bloom.indices(params, item) <= union
+    item, *members = similarity.bloom_items([password, *similar_plaintexts],
+                                             account_id, hash_params)
+    return bloom.indices(params, item) <= bloom.index_union(params, members)
 
 
 def generic_bound_adversary(ell: int, k: int, trials: int, *,

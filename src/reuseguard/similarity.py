@@ -16,8 +16,10 @@ import hashlib
 import os
 import random
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
 from .errors import StateError
 
@@ -67,6 +69,30 @@ def bloom_item(password: str, account_id: str,
         )
     except OverflowError as exc:  # a cost too large for a C long
         raise ValueError(f"scrypt cannot run at log2 cost {params.log2_n}: {exc}") from exc
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def bloom_items(passwords: Sequence[str], account_id: str,
+                params: SlowHashParams = DEFAULT_HASH_PARAMS) -> List[bytes]:
+    """``bloom_item`` of each password, in input order, hashed at once on
+    one thread per usable CPU (at most one per password); scrypt releases
+    the GIL.  Peak memory is at most that many times ``params.maxmem``:
+    32 MiB per thread at the default cost.
+
+    A cost scrypt cannot run raises its ``ValueError`` unwrapped, and the
+    hashes still queued are cancelled.
+    """
+    pool = ThreadPoolExecutor(max(1, min(_usable_cpus(), len(passwords))))
+    try:
+        return list(pool.map(bloom_item, passwords, repeat(account_id), repeat(params)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _case_toggles(pw: str) -> List[str]:
@@ -280,7 +306,9 @@ def build_similar_set(account_id: str, password: str, d: int, capacity: int,
 
     The per-seed variant budget is capacity // (d + 1); variants from the
     d + 1 seeds are interleaved round-robin before hashing so that a
-    shorter prefix of the entries still covers every seed.
+    shorter prefix of the entries still covers every seed.  The variants
+    hash at once (``bloom_items``); a digest two variants share keeps the
+    earlier one's place.
     """
     if capacity < d + 1:
         raise ValueError("capacity too small to cover all seeds")
@@ -292,13 +320,7 @@ def build_similar_set(account_id: str, password: str, d: int, capacity: int,
         for variants in variant_lists:
             if rank < len(variants):
                 interleaved.append(variants[rank])
-    entries: List[bytes] = []
-    seen = set()
-    for variant in interleaved:
-        digest = bloom_item(variant, account_id, hash_params)
-        if digest not in seen:
-            seen.add(digest)
-            entries.append(digest)
+    entries = dict.fromkeys(bloom_items(interleaved, account_id, hash_params))
     return SimilarSet(account_id, tuple(entries), d, capacity)
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import struct
 import tempfile
+import threading
 import time
 
 import pytest
@@ -255,3 +257,74 @@ def test_similar_set_is_immutable():
     sset = SimilarSet("a@b.com", (b"\x00" * 32,), 0, 1)
     with pytest.raises(AttributeError):
         sset.entries = ()
+
+
+def _serial_reference(account, password, d, capacity, params, rng_seed=0):
+    """The similar set hashed one variant at a time: the same round-robin
+    interleaving of the d + 1 seeds' variants, deduped in first-seen order."""
+    budget = capacity // (d + 1)
+    seeds = [password] + generate_honey(password, d, rng_seed)
+    lists = [generate_similar(seed, budget) for seed in seeds]
+    interleaved = [v[rank] for rank in range(budget) for v in lists if rank < len(v)]
+    entries = []
+    for variant in interleaved:
+        digest = similarity.bloom_item(variant, account, params)
+        if digest not in entries:
+            entries.append(digest)
+    return interleaved, SimilarSet(account, tuple(entries), d, capacity)
+
+
+@pytest.mark.parametrize("password, d, capacity, params", [
+    ("monkey1", 0, 1, CHEAP_HASH_PARAMS),
+    ("monkey1", 0, 16, CHEAP_HASH_PARAMS),
+    ("Summer2023!", 1, 16, CHEAP_HASH_PARAMS),
+    ("hunter2", 4, 25, CHEAP_HASH_PARAMS),
+    ("aaa111", 3, 41, CHEAP_HASH_PARAMS),
+    ("qwerty12", 1, 6, similarity.SlowHashParams(log2_n=11)),
+])
+def test_parallel_build_matches_serial_reference(tmp_path, password, d, capacity, params):
+    _, expected = _serial_reference("a@b.com", password, d, capacity, params, rng_seed=3)
+    sset = build_similar_set("a@b.com", password, d, capacity, params, rng_seed=3)
+    assert sset.entries == expected.entries
+    save_similar_set(sset, str(tmp_path / "parallel.simset"))
+    save_similar_set(expected, str(tmp_path / "serial.simset"))
+    assert (tmp_path / "parallel.simset").read_bytes() == \
+        (tmp_path / "serial.simset").read_bytes()
+
+
+def test_a_shared_digest_keeps_its_earlier_position(monkeypatch):
+    interleaved, _ = _serial_reference("a@b.com", "hunter2", 1, 12, CHEAP_HASH_PARAMS)
+    first, later = interleaved[1], interleaved[4]
+
+    def colliding(password, account_id, params):
+        return hashlib.sha256((first if password == later else password).encode()).digest()
+
+    monkeypatch.setattr(similarity, "bloom_item", colliding)
+    sset = build_similar_set("a@b.com", "hunter2", 1, 12, CHEAP_HASH_PARAMS)
+    _, expected = _serial_reference("a@b.com", "hunter2", 1, 12, CHEAP_HASH_PARAMS)
+    assert sset.entries == expected.entries
+    assert len(sset.entries) == len(interleaved) - 1
+    assert sset.entries[1] == colliding(first, "a@b.com", CHEAP_HASH_PARAMS)
+
+
+@pytest.mark.parametrize("log2_n", [0, 64])
+def test_unusable_cost_raises_and_leaves_no_hash_running(log2_n):
+    before = threading.active_count()
+    with pytest.raises(ValueError):
+        build_similar_set("a@b.com", "monkey1", 1, 16,
+                          similarity.SlowHashParams(log2_n=log2_n))
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(similarity._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_a_similar_set_hashes_its_variants_at_once(monkeypatch):
+    # Two variants can only both pass the barrier if they hash together.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def rendezvous(password, account_id, params):
+        barrier.wait()
+        return hashlib.sha256(password.encode()).digest()
+
+    monkeypatch.setattr(similarity, "bloom_item", rendezvous)
+    sset = build_similar_set("a@b.com", "monkey1", 0, 2, CHEAP_HASH_PARAMS)
+    assert len(sset.entries) == 2
