@@ -12,12 +12,13 @@ qualifying threshold.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import protocol, similarity, wire
-from .directory import Directory, ResponderEndpoint
+from .directory import MAX_FANOUT, Directory, ResponderEndpoint
 from .groups import CURVES
 from .netnodes import (
     LatencyProfile,
@@ -45,8 +46,13 @@ class BenchScenario:
     qualifying_threshold_s: float = 5.0
 
     def __post_init__(self):
-        if min(self.n_values + self.rho_values + (self.rounds,)) < 1:
-            raise ValueError("every n, rho and the round count must be at least 1")
+        if (min(self.n_values + self.rho_values + (self.rounds,)) < 1
+                or max(self.rho_values) > MAX_FANOUT):
+            raise ValueError(f"every n, rho and the round count must be at least 1, "
+                             f"and rho at most {MAX_FANOUT}")
+        threshold = self.qualifying_threshold_s
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold of {threshold} s is not finite and positive")
 
 
 @dataclass(frozen=True)

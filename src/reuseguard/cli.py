@@ -94,7 +94,7 @@ def planner_main(argv=None) -> int:
                 curve=args.curve_id, n_values=tuple(args.n),
                 rho_values=tuple(args.rho), rounds=args.rounds, profile=profile,
                 qualifying_threshold_s=args.threshold)
-        except ValueError as exc:  # an n, rho or round count below 1
+        except ValueError as exc:  # an n, rho or round count out of range, a bad threshold
             print(f"error: {exc}", file=sys.stderr)
             return 1
         records = bench.bench_run(scenario)

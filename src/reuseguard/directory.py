@@ -31,7 +31,7 @@ import random
 import secrets
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -52,7 +52,7 @@ _33MAIL_SUFFIX = ".33mail.com"
 DEFAULT_WINDOW_SECONDS = 60.0
 TOKEN_TTL_SECONDS = 600.0  # a consent token unredeemed this long expires
 TIMEOUT_PROFILES = {"trusted": 2.0, "untrusted": 8.0}
-MAX_WORKERS = 8  # responders queried at once by one fan-out
+MAX_FANOUT = 64  # the most responders one query asks, each on its own thread
 
 _AUDIT_FILTER_LENGTH = 16
 _AUDIT_NUM_HASHES = 2
@@ -201,10 +201,10 @@ class Directory:
         return True
 
     def responder_count(self, canonical_id: str) -> int:
-        """R_a: how many responders hold an account for this identifier."""
+        """R_a, capped at ``MAX_FANOUT``: how many responders hold this account."""
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            return len(self._accounts.get(canonical_id, ()))
+            return min(MAX_FANOUT, len(self._accounts.get(canonical_id, ())))
 
     # -- consent ----------------------------------------------------------
 
@@ -274,63 +274,57 @@ class Directory:
         return tuple(eligible[:rho])
 
     def fanout(self, query, rho: int) -> list:
-        """Forward a query to the first rho of the window's ranking
-        (``_plan``); permute replies.
+        """Ask the first rho of the window's ranking (``_plan``) at once,
+        each on its own thread; permute replies.
 
         ``query`` is a ``wire.RawQuery`` or a ``protocol.QueryMessage``;
         only its ``account_id`` is read, and the transport gets this very
-        object.  Requires an open consent window for the query's account.
-        Each responder gets the per-responder timeout; when an early-return
-        fraction is configured, returns as soon as that share of replies
-        arrived.  The reply order is freshly and uniformly permuted.
+        object.  Requires an open consent window for the query's account;
+        a rho outside [1, ``MAX_FANOUT``] raises ``ValueError`` before
+        anyone is asked.  Keeps the replies that arrive within the
+        per-responder timeout, or the first early-return share of them.
+        The reply order is freshly and uniformly permuted.
 
         Raises InvalidCiphertextError when every chosen responder rejected
         the query.  Honest responders reject an invalid query before they
         look at their index sets, so this says nothing about any of them.
         """
+        if not 1 <= rho <= MAX_FANOUT:
+            raise ValueError(f"rho of {rho} not in [1, {MAX_FANOUT}]")
         if self.transport is None:
             raise RuntimeError("directory has no transport configured")
         account = canonicalize(query.account_id)
         with self._lock:
             window = self._open_window(account)
             chosen = self._plan(window, account, rho)
-        responses, rejected = self._collect(chosen, query)
-        if rejected and rejected == len(chosen):
+        need = rho
+        if self.early_return_fraction is not None:
+            need = max(1, math.ceil(self.early_return_fraction * rho - 1e-9))
+        timeout = self.per_responder_timeout
+        responses, rejected = [], 0
+        pool = futures.ThreadPoolExecutor(max_workers=rho)
+        try:
+            asked = [pool.submit(self.transport, ep, query, timeout) for ep in chosen]
+            for fut in futures.as_completed(asked, timeout):
+                try:
+                    reply = fut.result()
+                except InvalidCiphertextError:
+                    rejected += 1
+                except Exception:  # unreachable, or failed otherwise
+                    pass
+                else:
+                    responses.append(reply)
+                    if len(responses) == need:
+                        break
+        except futures.TimeoutError:  # the builtin TimeoutError only from 3.11
+            pass
+        finally:
+            # Do not wait out stragglers: early return is the whole point.
+            pool.shutdown(wait=False)
+        if rejected == rho:
             raise InvalidCiphertextError("every chosen responder rejected the query")
         self._rng.shuffle(responses)
         return responses
-
-    def _collect(self, endpoints, query) -> Tuple[list, int]:
-        """At most ``need`` replies that arrived in time, and how many
-        responders rejected the query."""
-        need = len(endpoints)
-        if self.early_return_fraction is not None:
-            need = max(1, math.ceil(self.early_return_fraction * len(endpoints) - 1e-9))
-        timeout = self.per_responder_timeout
-        out = []
-        rejected = 0
-        pool = ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(endpoints)))
-        try:
-            pending = {pool.submit(self.transport, ep, query, timeout)
-                       for ep in endpoints}
-            deadline = time.monotonic() + timeout
-            while pending and len(out) < need:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                done, pending = wait(pending, timeout=remaining,
-                                     return_when=FIRST_COMPLETED)
-                for fut in done:
-                    try:
-                        out.append(fut.result())
-                    except InvalidCiphertextError:
-                        rejected += 1
-                    except Exception:
-                        continue
-        finally:
-            # Do not wait out stragglers: early return is the whole point.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return out[:need], rejected
 
     # -- audit ------------------------------------------------------------
 

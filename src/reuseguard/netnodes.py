@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import planner, protocol, similarity, wire
+from . import bloom, planner, protocol, similarity, wire
 from .directory import Directory, ResponderEndpoint, canonicalize
 from .errors import (
     ConsentRequiredError,
@@ -329,11 +329,9 @@ class DirectoryServer(_FrameServer):
             rho, query_payload = wire.decode_directory_query(payload)
             raw = wire.parse_query_header(query_payload)
             pad = wire.response_payload_size(raw.group)
-            if rho < 1:
-                return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
             return wire.OP_RESPONSES, wire.encode_responses(
                 self.directory.fanout(raw, rho))
-        except MalformedAddressError:  # an account that is no email address
+        except (MalformedAddressError, ValueError):  # no email address, rho out of range
             return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
         except (ConsentRequiredError, ConsentTokenError):
             return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
@@ -464,7 +462,7 @@ def requester_set_password(client: DirectoryClient, account: str,
                            password: str, t_goal: float,
                            policy: DecoyPolicy = DecoyPolicy(), *,
                            d: int = 0, group=protocol.DEFAULT_GROUP,
-                           k: int = 20,
+                           k: int = bloom.DEFAULT_NUM_HASHES,
                            hash_params: similarity.SlowHashParams = similarity.DEFAULT_HASH_PARAMS,
                            model: Optional[planner.LatencyModel] = None,
                            register_endpoint: Optional[str] = None,

@@ -119,6 +119,10 @@ OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
     ("planner", ["bench", "--n", "0"], "error: "),
     ("planner", ["bench", "--rho", "0"], "error: "),
     ("planner", ["bench", "--rounds", "0"], "error: "),
+    ("planner", ["bench", "--rho", "65"], "error: "),
+] + [
+    ("planner", ["bench", "--threshold", threshold], "error: ")
+    for threshold in ("inf", "nan", "0", "-1")
 ] + [
     ("directoryd", ["--listen", "127.0.0.1:0", "--early-return-fraction", fraction], "error: ")
     for fraction in ("nan", "inf", "0", "-1", "1.5")
@@ -130,6 +134,8 @@ OPTIMIZE = ["optimize", "--t-goal", "1.0", "--responders", "3"]
         "optimize-missing-curve", "optimize-malformed-curve",
         "directoryd-port-in-use", "responder-port-in-use",
         "optimize-negative-d", "bench-n-zero", "bench-rho-zero", "bench-rounds-zero",
+        "bench-rho-above-fanout", "bench-threshold-inf", "bench-threshold-nan",
+        "bench-threshold-zero", "bench-threshold-negative",
         "directoryd-fraction-nan", "directoryd-fraction-inf",
         "directoryd-fraction-zero", "directoryd-fraction-negative",
         "directoryd-fraction-above-one",

@@ -4,6 +4,7 @@ import os
 import random
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,6 +363,72 @@ def test_early_return_fraction():
     query, _ = make_query()
     responses = d.fanout(query, 64)
     assert len(responses) == 48
+
+
+def _indexed_reply(endpoint):
+    return protocol.ResponseMessage(
+        elgamal.Ciphertext(int(endpoint.address.split("-")[1]), 0))
+
+
+def test_every_chosen_responder_is_asked_at_once():
+    barrier = threading.Barrier(12, timeout=1)  # breaks unless all 12 wait together
+
+    def transport(endpoint, query, timeout):
+        barrier.wait()
+        return _indexed_reply(endpoint)
+
+    d = Directory(transport, per_responder_timeout=2.0, rng=random.Random(12))
+    for i in range(12):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    open_window(d)
+    responses = d.fanout(make_query()[0], 12)
+    assert sorted(r.result_ciphertext.ephemeral for r in responses) == list(range(12))
+
+
+@pytest.mark.parametrize("rho", [0, directory.MAX_FANOUT + 1])
+def test_rho_outside_the_fanout_bound_asks_no_one(rho):
+    calls = []
+    d = Directory(lambda endpoint, query, timeout: calls.append(endpoint),
+                  rng=random.Random(13))
+    for i in range(directory.MAX_FANOUT + 1):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    open_window(d)
+    query = make_query()[0]
+    threads = threading.active_count()
+    with pytest.raises(ValueError):
+        d.fanout(query, rho)
+    assert calls == []
+    assert threading.active_count() == threads
+
+
+def test_responder_count_is_capped_at_max_fanout():
+    d = Directory(rng=random.Random(13))
+    for i in range(directory.MAX_FANOUT + 1):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    assert d.responder_count(ACCOUNT) == directory.MAX_FANOUT == 64
+
+
+def test_early_return_leaves_no_thread_behind():
+    release = threading.Event()
+
+    def transport(endpoint, query, timeout):
+        if endpoint.address == "e-1":
+            release.wait(5)
+        return _indexed_reply(endpoint)
+
+    d = Directory(transport, early_return_fraction=0.5, rng=random.Random(14))
+    for i in range(2):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    open_window(d)
+    query = make_query()[0]
+    threads = threading.active_count()
+    responses = d.fanout(query, 2)
+    assert [r.result_ciphertext.ephemeral for r in responses] == [0]
+    release.set()
+    deadline = time.monotonic() + 2
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == threads
 
 
 def test_permutation_uniform_over_positions():

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from reuseguard import netnodes, planner, protocol, similarity, wire
-from reuseguard.directory import Directory, ResponderEndpoint
+from reuseguard.directory import MAX_FANOUT, Directory, ResponderEndpoint
 from reuseguard.errors import (
     ConsentRequiredError,
     FrameError,
@@ -586,6 +586,26 @@ def test_directory_rejects_rho_zero_as_malformed(small_deployment):
     assert opcode == wire.OP_ERROR
     assert wire.decode_error(body) == wire.ERR_MALFORMED
     assert len(body) == wire.response_payload_size(P256)
+
+
+def test_directory_answers_a_rho_above_max_fanout_as_malformed():
+    calls = []
+    directory = Directory(lambda endpoint, query, timeout: calls.append(endpoint),
+                          rng=random.Random(19))
+    for i in range(MAX_FANOUT + 1):
+        directory.register(ACCOUNT, ResponderEndpoint(f"stub-{i}:1"))
+    directory.confirm_consent(directory.begin_consent(ACCOUNT))
+    query, _ = protocol.build_query(ACCOUNT, "pw", 1, group=P256, hash_params=CHEAP)
+    server = DirectoryServer(("127.0.0.1", 0), directory)
+    try:
+        opcode, body = server.dispatch(wire.OP_QUERY, wire.encode_directory_query(
+            MAX_FANOUT + 1, wire.encode_query(query)))
+    finally:
+        server.server_close()
+    assert opcode == wire.OP_ERROR
+    assert wire.decode_error(body) == wire.ERR_MALFORMED
+    assert len(body) == wire.response_payload_size(P256)
+    assert calls == []
 
 
 def test_directory_answers_a_query_for_a_non_email_account_as_malformed(small_deployment):
