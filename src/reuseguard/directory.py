@@ -149,6 +149,9 @@ class Directory:
                  rng: Optional[random.Random] = None):
         if not (math.isfinite(window_seconds) and window_seconds > 0):
             raise ValueError(f"window of {window_seconds} s is not finite and positive")
+        if not (math.isfinite(per_responder_timeout) and per_responder_timeout > 0):
+            raise ValueError(f"per-responder timeout of {per_responder_timeout} s "
+                             "is not finite and positive")
         if early_return_fraction is not None and not 0 < early_return_fraction <= 1:
             raise ValueError(f"early return fraction {early_return_fraction} not in (0, 1]")
         self.transport = transport

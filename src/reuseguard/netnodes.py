@@ -75,16 +75,17 @@ def inject_latency(profile: Optional[LatencyProfile], rng=None) -> float:
 
 @dataclass(frozen=True)
 class DecoyPolicy:
-    """Post-acceptance dummy runs that mask which run set the password."""
+    """Post-acceptance dummy runs that mask which run set the password.
+
+    A decoy query is built as a real run's is (fresh key pair, seed and
+    slots) but indexes a Bloom item drawn from the run's rng instead of a
+    password's slow hash (``protocol.build_decoy_query``); its verdict is
+    not read.
+    """
 
     enabled: bool = False
     min_runs: int = 2
     extra_run_probability: float = 0.5
-
-
-def _decoy_password(rng) -> str:
-    return "decoy-" + "".join(rng.choice("abcdefghjkmnpqrstuvwxyz23456789")
-                              for _ in range(16))
 
 
 # -- responder service -------------------------------------------------------
@@ -474,8 +475,9 @@ def requester_set_password(client: DirectoryClient, account: str,
     similar one.  On acceptance, executes the decoy policy (total runs
     for the episode reach at least ``min_runs``, plus one extra run with
     the configured probability) and registers ``register_endpoint`` for
-    the account when given.  Raises NoResponseError when a run collects
-    no reply at all.
+    the account when given.  Only the first run hashes: each decoy query
+    indexes a Bloom item drawn from ``rng``.  Raises NoResponseError when
+    a run, decoys included, collects no reply at all.
     """
     rng = rng or _SYSTEM_RNG
     canonical = canonicalize(account)
@@ -489,10 +491,8 @@ def requester_set_password(client: DirectoryClient, account: str,
         model = planner.REFERENCE_MODELS[client.profile.name]
     plan = planner.optimize(t_goal, r_a, d, model, planner.DEFAULT_REUSE_CURVE)
 
-    def one_run(candidate: str) -> Tuple[int, int]:
-        query, session = protocol.build_query(
-            canonical, candidate, plan.n, group=group, k=k,
-            hash_params=hash_params, rng=rng)
+    def one_run(query: protocol.QueryMessage,
+                session: protocol.RequesterSession) -> Tuple[int, int]:
         responses = client.query(query, plan.rho)
         if not responses:
             # Fail closed: no reply is no verdict, not an acceptance.
@@ -501,16 +501,21 @@ def requester_set_password(client: DirectoryClient, account: str,
         hits = sum(1 for r in responses if protocol.decode_result(session, r))
         return hits, len(responses)
 
-    detections, received = one_run(password)
+    def decoy_run() -> None:
+        one_run(*protocol.build_decoy_query(canonical, plan.n, group=group, k=k,
+                                            rng=rng))
+
+    detections, received = one_run(*protocol.build_query(
+        canonical, password, plan.n, group=group, k=k, hash_params=hash_params, rng=rng))
     runs = 1
     if detections:
         return SetPasswordResult(False, detections, received, runs, plan)
     if policy.enabled:
         while runs < policy.min_runs:
-            one_run(_decoy_password(rng))
+            decoy_run()
             runs += 1
         if rng.random() < policy.extra_run_probability:
-            one_run(_decoy_password(rng))
+            decoy_run()
             runs += 1
     if register_endpoint is not None:
         client.register(canonical, register_endpoint)

@@ -19,7 +19,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import FrozenSet, Iterable, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Sequence, Tuple
 
 from . import bloom, elgamal, similarity
 from .errors import InvalidCiphertextError
@@ -75,18 +75,39 @@ def build_query(account_id: str, password: str, n_target: int, *,
     """
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    rng = rng or _SYSTEM_RNG
     with ThreadPoolExecutor(max_workers=1) as worker:
         hashing = worker.submit(similarity.bloom_item, password, account_id, hash_params)
-        params = bloom.BloomParams(
-            bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
-        )
-        keypair = elgamal.gen(group, rng)
-        order = group.order
-        xs = [rng.randrange(order) for _ in range(params.length_ell)]
-        slots = elgamal.encrypt_powers(keypair.sk, [(0, x) for x in xs])
-        item = hashing.result()
-    j_r = bloom.indices(params, item)
+        return _build(account_id, n_target, group, k, rng or _SYSTEM_RNG, hashing.result)
+
+
+def build_decoy_query(account_id: str, n_target: int, *,
+                      group=DEFAULT_GROUP, k: int = bloom.DEFAULT_NUM_HASHES,
+                      rng=None) -> Tuple[QueryMessage, RequesterSession]:
+    """Build a decoy run's query: ``build_query`` with a Bloom item drawn
+    from ``rng`` (after every slot's x) instead of a password's slow hash.
+
+    A uniform 32-byte item indexes the filter as the digest of a fresh
+    random password does, and every slot is an ElGamal ciphertext under a
+    fresh key, so the query's layout, size and distribution are a real
+    run's; nothing is hashed.
+    """
+    rng = rng or _SYSTEM_RNG
+    return _build(account_id, n_target, group, k, rng,
+                  lambda: rng.randbytes(similarity.DIGEST_BYTES))
+
+
+def _build(account_id: str, n_target: int, group, k: int, rng,
+           item: Callable[[], bytes]) -> Tuple[QueryMessage, RequesterSession]:
+    """The query for the Bloom item ``item()``, which is called once every
+    slot is encrypted as the identity."""
+    params = bloom.BloomParams(
+        bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
+    )
+    keypair = elgamal.gen(group, rng)
+    order = group.order
+    xs = [rng.randrange(order) for _ in range(params.length_ell)]
+    slots = elgamal.encrypt_powers(keypair.sk, [(0, x) for x in xs])
+    j_r = bloom.indices(params, item())
     members = sorted(j_r)
     u = keypair.sk.scalar
     bodies = group.exp_generator_many(

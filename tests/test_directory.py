@@ -224,6 +224,12 @@ def test_window_length_must_be_finite_and_positive(seconds):
         Directory(None, window_seconds=seconds)
 
 
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, 0.0, -1.0])
+def test_per_responder_timeout_must_be_finite_and_positive(seconds):
+    with pytest.raises(ValueError):
+        Directory(None, per_responder_timeout=seconds)
+
+
 # -- fan-out -----------------------------------------------------------------
 
 def test_fanout_returns_exactly_rho_responses():

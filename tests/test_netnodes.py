@@ -420,6 +420,30 @@ def test_decoy_policy_runs_two_or_three(small_deployment):
     assert runs_seen == {2, 3}
 
 
+@pytest.mark.parametrize("extra", [0.0, 1.0])
+def test_decoy_runs_hash_nothing(small_deployment, monkeypatch, extra):
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE,
+                             rng=random.Random(6))
+    token = client.begin_consent(ACCOUNT)
+    client.confirm_consent(token)
+    hashed = []
+    hash_item = similarity.bloom_item
+
+    def counting_hash(password, *args):
+        hashed.append(password)
+        return hash_item(password, *args)
+
+    monkeypatch.setattr(similarity, "bloom_item", counting_hash)
+    result = requester_set_password(
+        client, ACCOUNT, "fresh-pw-decoys", 0.015,
+        DecoyPolicy(enabled=True, min_runs=2, extra_run_probability=extra),
+        hash_params=CHEAP, rng=random.Random(3))
+    assert result.accepted
+    assert result.runs == (3 if extra else 2)
+    assert hashed == ["fresh-pw-decoys"]
+
+
 def test_accepted_password_registers_endpoint(small_deployment):
     dserver, _ = small_deployment
     client = DirectoryClient(dserver.address, TRUSTED_PROFILE,

@@ -12,6 +12,7 @@ from reuseguard.groups import P160, P192, P224, P256, enumerable_group
 from reuseguard.protocol import (
     QueryMessage,
     blinded_complement_product,
+    build_decoy_query,
     build_query,
     decode_result,
     generic_bound,
@@ -179,6 +180,33 @@ def test_warm_build_query_builds_no_fixed_base_table(monkeypatch):
     query, session = build_query(ACCOUNT, "pw", 16, group=P192,
                                  hash_params=CHEAP)
     assert len(query.ciphertexts) == session.bloom.length_ell
+
+
+def test_a_decoy_query_looks_like_a_real_one(monkeypatch):
+    from reuseguard import wire
+
+    real, _ = build_query(ACCOUNT, "pw", 16, group=P192, hash_params=CHEAP,
+                          rng=random.Random(8))
+
+    def no_hash(*args):
+        raise AssertionError("a decoy ran the slow hash")
+
+    monkeypatch.setattr(similarity, "bloom_item", no_hash)
+    rng = random.Random(9)
+    decoys = [build_decoy_query(ACCOUNT, 16, group=P192, rng=rng) for _ in range(3)]
+    for query, session in decoys:
+        assert query.bloom.length_ell == real.bloom.length_ell
+        assert query.bloom.num_hashes_k == real.bloom.num_hashes_k
+        assert len(query.bloom.hash_family_seed) == len(real.bloom.hash_family_seed)
+        assert len(wire.encode_query(query)) == len(wire.encode_query(real))
+        sk = session.keypair.sk
+        non_identity = {j for j, c in enumerate(query.ciphertexts)
+                        if elgamal.decrypt(sk, c) != P192.identity}
+        assert non_identity == set(session.requester_index_set)
+        assert 1 <= len(non_identity) <= query.bloom.num_hashes_k
+    queries = [real] + [query for query, _ in decoys]
+    assert len({query.pk.point for query in queries}) == 4
+    assert len({query.bloom.hash_family_seed for query in queries}) == 4
 
 
 def test_member_always_detected(rng, tg101):
