@@ -7,8 +7,11 @@ import getpass
 import sys
 import time
 
-from . import bench, planner
+from . import bench, netnodes, planner
+from .directory import TIMEOUT_PROFILES, Directory
 from .errors import ConsentRequiredError, InfeasibleError, ReuseGuardError
+from .groups import CURVES
+from .similarity import DEFAULT_HASH_PARAMS, SlowHashParams
 
 
 def planner_main(argv=None) -> int:
@@ -33,12 +36,11 @@ def planner_main(argv=None) -> int:
                        help="bench output or bare rho,n,time CSV")
 
     p_bench = sub.add_parser("bench", help="run the local benchmark harness")
-    p_bench.add_argument("--curve-id", default="P192",
-                         choices=["P160", "P192", "P224", "P256"])
+    p_bench.add_argument("--curve-id", default="P192", choices=sorted(CURVES))
     p_bench.add_argument("--n", type=int, nargs="+", default=[1, 8])
     p_bench.add_argument("--rho", type=int, nargs="+", default=[1, 4])
     p_bench.add_argument("--rounds", type=int, default=3)
-    p_bench.add_argument("--profile", choices=["none", "trusted", "untrusted"],
+    p_bench.add_argument("--profile", choices=["none", *netnodes.PROFILES],
                          default="none")
     p_bench.add_argument("--threshold", type=float, default=5.0,
                          help="qualifying response-time threshold in seconds")
@@ -87,8 +89,7 @@ def planner_main(argv=None) -> int:
         return 0
 
     if args.command == "bench":
-        from .netnodes import PROFILES
-        profile = None if args.profile == "none" else PROFILES[args.profile]
+        profile = None if args.profile == "none" else netnodes.PROFILES[args.profile]
         try:
             scenario = bench.BenchScenario(
                 curve=args.curve_id, n_values=tuple(args.n),
@@ -108,9 +109,16 @@ def planner_main(argv=None) -> int:
     return 2
 
 
-def responder_main(argv=None) -> int:
-    from .netnodes import ResponderStore, serve_responder
+def _run_until_interrupted(server) -> None:
+    """Serve until SIGINT (Ctrl-C), then stop ``server``."""
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        server.shutdown()
 
+
+def responder_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="responder",
         description="Serve membership-test responses for stored similar sets.")
@@ -120,24 +128,18 @@ def responder_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        store = ResponderStore.load(args.store)
-        server = serve_responder(store, args.listen)
+        store = netnodes.ResponderStore.load(args.store)
+        server = netnodes.serve_responder(store, args.listen)
     except (ReuseGuardError, OSError, ValueError) as exc:  # a bad store, a port in use, a bad address
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"responder listening on {server.address} "
           f"({len(store.accounts())} accounts)", flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.shutdown()
+    _run_until_interrupted(server)
     return 0
 
 
 def requester_main(argv=None) -> int:
-    from .netnodes import PROFILES, DecoyPolicy, DirectoryClient, requester_set_password
-
     parser = argparse.ArgumentParser(
         prog="requester",
         description="Set a password after checking for cross-site reuse.")
@@ -149,8 +151,7 @@ def requester_main(argv=None) -> int:
                         help="run decoy protocol executions after acceptance")
     parser.add_argument("--password",
                         help="candidate password (prompted when omitted)")
-    parser.add_argument("--profile", choices=["trusted", "untrusted"],
-                        default="trusted")
+    parser.add_argument("--profile", choices=sorted(netnodes.PROFILES), default="trusted")
     parser.add_argument("--d", type=int, default=0, help="honeyword count assumed")
     parser.add_argument("--hash-cost", type=int, default=None,
                         help="log2 scrypt cost for candidate digests "
@@ -162,20 +163,19 @@ def requester_main(argv=None) -> int:
                              "(stands in for the account owner's click)")
     args = parser.parse_args(argv)
 
-    from .similarity import DEFAULT_HASH_PARAMS, SlowHashParams
     hash_params = DEFAULT_HASH_PARAMS
     if args.hash_cost is not None:
         hash_params = SlowHashParams(log2_n=args.hash_cost)
 
     password = args.password or getpass.getpass("candidate password: ")
-    client = DirectoryClient(args.directory, PROFILES[args.profile])
+    client = netnodes.DirectoryClient(args.directory, netnodes.PROFILES[args.profile])
     try:
         if args.auto_consent:
             token = client.begin_consent(args.account)
             client.confirm_consent(token)
-        result = requester_set_password(
+        result = netnodes.requester_set_password(
             client, args.account, password, args.t_goal,
-            DecoyPolicy(enabled=args.decoys), d=args.d,
+            netnodes.DecoyPolicy(enabled=args.decoys), d=args.d,
             hash_params=hash_params,
             register_endpoint=args.register_endpoint)
     except ConsentRequiredError:
@@ -201,26 +201,22 @@ def requester_main(argv=None) -> int:
 
 
 def directoryd_main(argv=None) -> int:
-    from .directory import Directory, TIMEOUT_PROFILES
-    from .netnodes import PROFILES, make_tcp_responder_transport, serve_directory
-
     parser = argparse.ArgumentParser(
         prog="directoryd",
         description="Run the account directory and query fan-out daemon.")
     parser.add_argument("--listen", required=True, help="host:port to bind")
-    parser.add_argument("--profile", choices=["trusted", "untrusted"],
-                        default="trusted")
+    parser.add_argument("--profile", choices=sorted(netnodes.PROFILES), default="trusted")
     parser.add_argument("--early-return-fraction", type=float, default=None,
                         help="return once this share of responses arrived")
     parser.add_argument("--window-seconds", type=float, default=60.0)
     parser.add_argument("--state-dir", default=None)
     args = parser.parse_args(argv)
 
-    profile = PROFILES[args.profile]
+    profile = netnodes.PROFILES[args.profile]
     transport_profile = profile if args.profile == "untrusted" else None
     try:
         directory = Directory(
-            make_tcp_responder_transport(transport_profile),
+            netnodes.make_tcp_responder_transport(transport_profile),
             window_seconds=args.window_seconds,
             per_responder_timeout=TIMEOUT_PROFILES[args.profile],
             early_return_fraction=args.early_return_fraction,
@@ -229,16 +225,12 @@ def directoryd_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        server = serve_directory(directory, args.listen)
+        server = netnodes.serve_directory(directory, args.listen)
     except (OSError, ValueError) as exc:  # a port in use or a bad address
         directory.close()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"directory listening on {server.address} (profile={args.profile})", flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.shutdown()
-        directory.close()
+    _run_until_interrupted(server)
+    directory.close()
     return 0

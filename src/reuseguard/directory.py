@@ -203,11 +203,17 @@ class Directory:
             del self._accounts[account]
         return True
 
+    def _eligible(self, account: str) -> list:
+        """The account's endpoints that no audit has flagged: the only ones
+        a query can reach.  Callers hold ``_lock``."""
+        return [ep for ep in self._accounts.get(account, ()) if ep not in self._flagged]
+
     def responder_count(self, canonical_id: str) -> int:
-        """R_a, capped at ``MAX_FANOUT``: how many responders hold this account."""
+        """R_a, capped at ``MAX_FANOUT``: how many responders a query for
+        this account can reach (``_eligible``)."""
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            return min(MAX_FANOUT, len(self._accounts.get(canonical_id, ())))
+            return min(MAX_FANOUT, len(self._eligible(canonical_id)))
 
     # -- consent ----------------------------------------------------------
 
@@ -262,12 +268,11 @@ class Directory:
 
     def _plan(self, window: _Window, account: str,
               rho: int) -> Tuple[ResponderEndpoint, ...]:
-        """The first rho unflagged endpoints ranked by ``sha256(window id |
-        address)``, stored nowhere: each rho gets a prefix of one random
+        """The first rho ``_eligible`` endpoints ranked by ``sha256(window id
+        | address)``, stored nowhere: each rho gets a prefix of one random
         order per window, and an endpoint flagged or deregistered mid-window
         leaves at the next query."""
-        eligible = [ep for ep in self._accounts.get(account, ())
-                    if ep not in self._flagged]
+        eligible = self._eligible(account)
         if rho > len(eligible):
             raise InsufficientRespondersError(
                 f"{len(eligible)} responders registered, {rho} requested"
@@ -355,12 +360,11 @@ class Directory:
         query = protocol.QueryMessage(account, keypair.pk, params, ciphertexts)
         return query, keypair
 
-    def audit_responder(self, endpoint: ResponderEndpoint,
-                        rng=None) -> AuditVerdict:
+    def audit_responder(self, endpoint: ResponderEndpoint) -> AuditVerdict:
         """Probe one responder with an all-non-identity query."""
         if self.transport is None:
             raise RuntimeError("directory has no transport configured")
-        query, keypair = self.build_audit_query(rng)
+        query, keypair = self.build_audit_query()
         try:
             response = self.transport(endpoint, query, self.per_responder_timeout)
         except Exception:

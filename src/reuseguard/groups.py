@@ -144,15 +144,6 @@ def _jac_add_affine(P, q, p, a):
     return (X3, Y3, Z3)
 
 
-def _jac_to_affine(P, p) -> Point:
-    X, Y, Z = P
-    if Z == 0:
-        return None
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return (X * zi2 % p, Y * zi2 % p * zi % p)
-
-
 def _batch_to_affine(points, p) -> list:
     """Normalize many Jacobian points with a single field inversion."""
     zs = [P[2] for P in points]
@@ -194,7 +185,7 @@ class FixedBaseTable:
             for _ in range(size - 1):
                 acc = _jac_add_affine(acc, row_base, p, a)
                 jac_points.append(acc)
-            row_base = _jac_to_affine(_jac_add_affine(acc, row_base, p, a), p)
+            row_base = _batch_to_affine([_jac_add_affine(acc, row_base, p, a)], p)[0]
         flat = _batch_to_affine(jac_points, p)
         self.group = group
         self.bits = bits
@@ -213,7 +204,7 @@ class FixedBaseTable:
             if d:
                 acc = _jac_add_affine(acc, row[d], p, a)
             k >>= bits
-        return _jac_to_affine(acc, p)
+        return _batch_to_affine([acc], p)[0]
 
 
 # Smallest batch that exp_generator_many runs through the 8-bit comb.  The
@@ -260,9 +251,8 @@ class EllipticCurveGroup:
             return e2
         if e2 is None:
             return e1
-        return _jac_to_affine(
-            _jac_add_affine((e1[0], e1[1], 1), e2, self.p, self.a), self.p
-        )
+        return _batch_to_affine(
+            [_jac_add_affine((e1[0], e1[1], 1), e2, self.p, self.a)], self.p)[0]
 
     def inv(self, e: Point) -> Point:
         if e is None:
@@ -290,7 +280,7 @@ class EllipticCurveGroup:
             d = (z >> shift) & 15
             if d:
                 acc = _jac_add_affine(acc, table[d], p, a)
-        return _jac_to_affine(acc, p)
+        return _batch_to_affine([acc], p)[0]
 
     def product(self, elements: Sequence[Point]) -> Point:
         """Group product of a sequence, accumulated without normalizing."""
@@ -298,7 +288,7 @@ class EllipticCurveGroup:
         p, a = self.p, self.a
         for e in elements:
             acc = _jac_add_affine(acc, e, p, a)
-        return _jac_to_affine(acc, p)
+        return _batch_to_affine([acc], p)[0]
 
     def generator_table(self, bits: int = 4) -> FixedBaseTable:
         """The generator's comb, built once per width per process."""
@@ -430,9 +420,6 @@ class EnumerableGroup:
 
     def random_element(self, rng=None) -> int:
         return self.random_scalar(rng)
-
-    def elements(self):
-        return range(self.order)
 
     def compress(self, element: int) -> bytes:
         return bytes([PARITY_EVEN]) + element.to_bytes(self.field_bytes, "big")

@@ -91,15 +91,22 @@ class DecoyPolicy:
 # -- responder service -------------------------------------------------------
 
 class ResponderStore:
-    """Similar sets for the accounts one responder hosts."""
+    """Similar sets for the accounts one responder hosts, each keyed by
+    the canonical account a query names."""
 
-    def __init__(self, sets: Optional[Dict[str, similarity.SimilarSet]] = None):
-        self._sets = dict(sets or {})
+    def __init__(self):
+        self._sets: Dict[str, similarity.SimilarSet] = {}
 
     def get(self, account: str) -> Optional[similarity.SimilarSet]:
         return self._sets.get(account)
 
     def add(self, sset: similarity.SimilarSet) -> None:
+        """Raises ValueError for a set whose account is not canonical: no
+        query would name it, and its digests are salted with the alias."""
+        canonical = canonicalize(sset.account_id)
+        if canonical != sset.account_id:
+            raise ValueError(f"similar set for {sset.account_id!r}, "
+                             f"not its canonical form {canonical!r}")
         self._sets[sset.account_id] = sset
 
     def accounts(self) -> List[str]:
@@ -142,8 +149,7 @@ def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, 
             query.account_id, (), 0, 0)
         response = protocol.respond(query, similar, rng)
     except (InvalidCiphertextError, FrameError):
-        return wire.OP_ERROR, wire.encode_error(
-            wire.ERR_INVALID_CIPHERTEXT, wire.response_payload_size(group))
+        return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group)
     return wire.OP_RESPONSE, wire.encode_response(response, group)
 
 
@@ -220,8 +226,7 @@ class ResponderServer(_FrameServer):
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
         if opcode != wire.OP_QUERY:
-            return wire.OP_ERROR, wire.encode_error(
-                wire.ERR_MALFORMED, wire.response_payload_size(P192))
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, P192)
         return answer_query(self.store, payload)
 
 
@@ -319,30 +324,29 @@ class DirectoryServer(_FrameServer):
         self.directory = directory
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
-        pad = wire.response_payload_size(P192)
+        group = P192  # until a query header names its curve
         try:
             if opcode != wire.OP_QUERY:
                 try:
                     return self._coordinate(opcode, payload)
                 except FrameError:
-                    return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
+                    return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, group)
             # Route on the header; query and reply bytes pass through.
             rho, query_payload = wire.decode_directory_query(payload)
             raw = wire.parse_query_header(query_payload)
-            pad = wire.response_payload_size(raw.group)
+            group = raw.group
             return wire.OP_RESPONSES, wire.encode_responses(
                 self.directory.fanout(raw, rho))
         except (MalformedAddressError, ValueError):  # no email address, rho out of range
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, pad)
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, group)
         except (ConsentRequiredError, ConsentTokenError):
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, pad)
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, group)
         except InsufficientRespondersError:
-            return wire.OP_ERROR, wire.encode_error(
-                wire.ERR_INSUFFICIENT_RESPONDERS, pad)
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_INSUFFICIENT_RESPONDERS, group)
         except (InvalidCiphertextError, FrameError):
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, pad)
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group)
         except Exception:
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, pad)
+            return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, group)
 
     def _coordinate(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
         """A request other than a query.  A payload that does not decode

@@ -177,10 +177,10 @@ def respond(query: QueryMessage, similar: similarity.SimilarSet,
 
 
 def decode_result(session: RequesterSession, response: ResponseMessage) -> bool:
-    """True iff the blinded product decrypts to the identity."""
+    """True iff the blinded product decrypts to the identity; a component
+    outside the group (``elgamal.decrypt``'s check) raises
+    InvalidCiphertextError."""
     keypair = session.keypair
-    if not elgamal.validate_ciphertext(keypair.pk, response.result_ciphertext):
-        raise InvalidCiphertextError("response ciphertext not in the group")
     plaintext = elgamal.decrypt(keypair.sk, response.result_ciphertext)
     if plaintext is elgamal.BOTTOM:
         raise InvalidCiphertextError("response ciphertext not in the group")

@@ -23,8 +23,9 @@ against ``response_payload_size`` and only the requester decodes it.
 
 Every decoder raises ``FrameError`` on bytes that do not parse (including
 text fields that are not UTF-8) and ``InvalidCiphertextError`` on a point
-that is not on the curve.  Error payloads are padded to the exact size of
-a success response payload so a failure is not distinguishable by length.
+that is not on the curve.  ``encode_error`` pads an error payload to the
+exact size of a success response payload on the given curve, so a failure
+is not distinguishable by length.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ def encode_response(response: protocol.ResponseMessage, group) -> bytes:
 
 
 def decode_response(payload: bytes, group) -> protocol.ResponseMessage:
-    point_len = group.field_bytes + 1
-    if len(payload) != 2 * point_len:
+    if len(payload) != response_payload_size(group):
         raise FrameError("bad response payload size")
+    point_len = group.field_bytes + 1
     try:
         ephemeral = group.decompress(payload[:point_len])
         body = group.decompress(payload[point_len:])
@@ -242,12 +243,9 @@ def decode_response(payload: bytes, group) -> protocol.ResponseMessage:
     return protocol.ResponseMessage(elgamal.Ciphertext(ephemeral, body))
 
 
-def encode_error(code: int, pad_to: int) -> bytes:
-    """Error payload padded to the same size as a success payload."""
-    payload = bytes([code])
-    if pad_to > len(payload):
-        payload += b"\x00" * (pad_to - len(payload))
-    return payload
+def encode_error(code: int, group) -> bytes:
+    """Error payload padded to the size of a success response on ``group``."""
+    return bytes([code]) + bytes(response_payload_size(group) - 1)
 
 
 def decode_error(payload: bytes) -> int:

@@ -202,6 +202,22 @@ def test_bench_fit_pipeline(tmp_path):
     assert model.c0 >= 0 or model.rmse >= 0  # fit ran end to end
 
 
+def test_responder_refuses_a_store_for_a_non_canonical_account(tmp_path):
+    sset = similarity.build_similar_set("Jane.Doe@gmail.com", "hunter2", 0, 5, CHEAP,
+                                        rng_seed=1)
+    path = tmp_path / "alias.simset"
+    similarity.save_similar_set(sset, str(path))
+    # A subprocess, so a daemon that started serving fails the test on the
+    # timeout instead of blocking it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "reuseguard.run", "responder",
+         "--store", str(path), "--listen", "127.0.0.1:0"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "janedoe@gmail.com" in proc.stderr
+
+
 def _wait_for_line(proc, needle, timeout=20):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

@@ -805,8 +805,12 @@ def test_replay_from_log_without_snapshot(tmp_path):
         for e in events:
             fh.write(json.dumps(e) + "\n")
     d = Directory(None, state_dir=str(state))
-    assert d.responder_count(ACCOUNT) == 1
+    # b:1 is registered but flagged, so no query can reach it.
+    assert d.responder_count(ACCOUNT) == 0
     assert ResponderEndpoint("b:1") in d.flagged
+    assert d.deregister(ACCOUNT, ResponderEndpoint("a:1")).warning == \
+        "endpoint was not registered"
+    assert d.deregister(ACCOUNT, ResponderEndpoint("b:1")).warning is None
     d.close()
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from reuseguard import netnodes, planner, protocol, similarity, wire
+from reuseguard import elgamal, netnodes, planner, protocol, similarity, wire
 from reuseguard.directory import MAX_FANOUT, Directory, ResponderEndpoint
 from reuseguard.errors import (
     ConsentRequiredError,
@@ -106,7 +106,8 @@ class _DiskFull:
 
 def test_failed_save_keeps_the_old_store(tmp_path, monkeypatch):
     old = similarity.build_similar_set(ACCOUNT, "pw-old", 0, 4, CHEAP)
-    store = ResponderStore({ACCOUNT: old})
+    store = ResponderStore()
+    store.add(old)
     store.save(str(tmp_path))
     store.add(similarity.build_similar_set(ACCOUNT, "pw-new", 0, 4, CHEAP))
     monkeypatch.setattr(similarity, "open", lambda *args: _DiskFull(open(*args)),
@@ -122,6 +123,19 @@ def test_store_load_single_file(tmp_path):
     path = tmp_path / "one.simset"
     similarity.save_similar_set(sset, str(path))
     assert ResponderStore.load(str(path)).get(ACCOUNT) == sset
+
+
+def test_store_refuses_a_set_for_a_non_canonical_account(tmp_path):
+    # Queries name janedoe@gmail.com, so a set kept under the alias would
+    # never be found, and its digests are salted with the alias anyway.
+    sset = similarity.build_similar_set("Jane.Doe@gmail.com", "hunter2", 0, 5, CHEAP,
+                                        rng_seed=1)
+    with pytest.raises(ValueError, match="janedoe@gmail.com"):
+        ResponderStore().add(sset)
+    path = tmp_path / "alias.simset"
+    similarity.save_similar_set(sset, str(path))
+    with pytest.raises(ValueError, match="not its canonical form"):
+        ResponderStore.load(str(path))
 
 
 # -- responder service over TCP ----------------------------------------------
@@ -734,6 +748,52 @@ def test_off_curve_query_rejected_alike_in_process_and_over_tcp(responder_server
     for transport, address in ((inprocess, "here"), (tcp, responder_server.address)):
         with pytest.raises(InvalidCiphertextError):
             transport(ResponderEndpoint(address), wire.parse_query_header(bad), 5.0)
+
+
+def _lie(payload):
+    """A responder's reply claiming that every query reuses a password."""
+    query = wire.decode_query(payload)
+    lie = protocol.ResponseMessage(elgamal.encrypt(query.pk, query.pk.group.identity))
+    return wire.OP_RESPONSE, wire.encode_response(lie, query.pk.group)
+
+
+@pytest.mark.parametrize("over_tcp", [False, True])
+def test_flagged_liar_is_not_counted_and_the_flow_runs_on_the_rest(monkeypatch, over_tcp):
+    liar, honest = ResponderStore(), ResponderStore()
+    honest.add(similarity.build_similar_set(ACCOUNT, "hunter2", 0, 5, CHEAP, rng_seed=1))
+    answer = netnodes.answer_query
+    monkeypatch.setattr(netnodes, "answer_query", lambda store, payload, rng=None:
+                        _lie(payload) if store is liar else answer(store, payload, rng))
+    servers = []
+    if over_tcp:
+        servers = [serve_responder(store, "127.0.0.1:0") for store in (liar, honest)]
+        addresses = [server.address for server in servers]
+        transport = make_tcp_responder_transport()
+    else:
+        addresses = ["site-1", "site-2"]
+        transport = make_inprocess_responder_transport(dict(zip(addresses, (liar, honest))))
+    directory = Directory(transport, rng=random.Random(31))
+    for address in addresses:
+        directory.register(ACCOUNT, ResponderEndpoint(address))
+    dserver = serve_directory(directory, "127.0.0.1:0")
+    try:
+        client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(32))
+        assert client.audit(addresses[0]) == "lying"
+        # Negotiate counts only the responders a query can reach.
+        assert client.negotiate(ACCOUNT) == 1
+        client.confirm_consent(client.begin_consent(ACCOUNT))
+        fresh = requester_set_password(client, ACCOUNT, "fresh-pw-31", 0.05,
+                                       hash_params=CHEAP, rng=random.Random(33))
+        assert fresh.accepted
+        assert (fresh.plan.rho, fresh.responses_received) == (1, 1)
+        reused = requester_set_password(client, ACCOUNT, "hunter2", 0.05,
+                                        hash_params=CHEAP, rng=random.Random(34))
+        assert not reused.accepted
+        assert (reused.plan.rho, reused.detections) == (1, 1)
+    finally:
+        for server in [dserver, *servers]:
+            server.shutdown()
+            server.server_close()
 
 
 def test_flow_fails_closed_when_no_responder_answers():

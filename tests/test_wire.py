@@ -130,8 +130,7 @@ def test_response_roundtrip_and_padding_parity():
         elgamal.encrypt(kp.pk, P192.random_element(rng), rng))
     encoded = wire.encode_response(response, P192)
     assert wire.decode_response(encoded, P192) == response
-    error = wire.encode_error(wire.ERR_INVALID_CIPHERTEXT,
-                              wire.response_payload_size(P192))
+    error = wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, P192)
     assert len(error) == len(encoded)
     assert wire.decode_error(error) == wire.ERR_INVALID_CIPHERTEXT
 
