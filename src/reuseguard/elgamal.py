@@ -90,11 +90,22 @@ def encrypt_powers(sk: SecretKey, slots: Iterable[Tuple[int, int]]) -> List[Ciph
     Equal to ``encrypt_with_randomness(pk, g^r, x)`` under the matching
     public key, computed by the key's holder as (g^x, g^(u*x + r)).
     """
-    group, u, order = sk.group, sk.scalar, sk.group.order
+    return power_ciphertexts(sk.group.exp_generator_many(power_scalars(sk, slots)))
+
+
+def power_scalars(sk: SecretKey, slots: Iterable[Tuple[int, int]]) -> List[int]:
+    """The generator exponents behind ``encrypt_powers(sk, slots)``: x and
+    u*x + r for each ``(r, x)``, in order."""
+    u, order = sk.scalar, sk.group.order
     scalars = []
     for r, x in slots:
         scalars += (x, (u * x + r) % order)
-    points = group.exp_generator_many(scalars)
+    return scalars
+
+
+def power_ciphertexts(points: List) -> List[Ciphertext]:
+    """The ciphertexts whose components are the generator powers of
+    ``power_scalars``, taken in pairs."""
     return [Ciphertext(points[i], points[i + 1]) for i in range(0, len(points), 2)]
 
 

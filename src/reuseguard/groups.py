@@ -213,6 +213,38 @@ class FixedBaseTable:
 COMB8_MIN_BATCH = 256
 
 
+class Comb:
+    """A batch of generator multiplications that runs one comb window at a
+    time, so a caller can stop it between windows and resume it later.
+
+    ``windows`` is a generator that yields after each window and returns
+    the points.
+    """
+
+    __slots__ = ("_windows", "_points")
+
+    def __init__(self, windows):
+        self._windows = windows
+        self._points = None
+
+    def step(self) -> bool:
+        """Run the next window; False, with no work done, once none is left."""
+        if self._points is not None:
+            return False
+        try:
+            next(self._windows)
+        except StopIteration as done:
+            self._points = done.value
+            return False
+        return True
+
+    def finish(self) -> list:
+        """Run every window left and return the points."""
+        while self.step():
+            pass
+        return self._points
+
+
 class EllipticCurveGroup:
     """Short-Weierstrass curve y^2 = x^3 + ax + b over F_p, cofactor 1."""
 
@@ -311,6 +343,14 @@ class EllipticCurveGroup:
         ``COMB8_MIN_BATCH`` scalars use the 8-bit comb, smaller ones the
         4-bit comb.
         """
+        return self.exp_generator_comb(scalars).finish()
+
+    def exp_generator_comb(self, scalars: Sequence[int]) -> Comb:
+        """``exp_generator_many(scalars)`` as a ``Comb`` that runs one
+        window per ``step()``."""
+        return Comb(self._comb_windows(list(scalars)))
+
+    def _comb_windows(self, scalars: list):
         table = self.generator_table(8 if len(scalars) >= COMB8_MIN_BATCH else 4)
         p, bits, mask = self.p, table.bits, (1 << table.bits) - 1
         shifts = range(0, bits * len(table.rows), bits)
@@ -340,6 +380,7 @@ class EllipticCurveGroup:
                 inv = inv * (x2 - x1) % p
                 x3 = (slope * slope - x1 - x2) % p
                 accs[i] = (x3, (slope * (x1 - x3) - y1) % p)
+            yield
         return accs
 
     def random_scalar(self, rng=None) -> int:
@@ -410,7 +451,15 @@ class EnumerableGroup:
         return z % self.order
 
     def exp_generator_many(self, scalars: Sequence[int]) -> list:
-        return [z % self.order for z in scalars]
+        return self.exp_generator_comb(scalars).finish()
+
+    def exp_generator_comb(self, scalars: Sequence[int]) -> Comb:
+        """Every multiple in one window."""
+        def one_window():
+            points = [z % self.order for z in scalars]
+            yield
+            return points
+        return Comb(one_window())
 
     def product(self, elements: Sequence[int]) -> int:
         return sum(elements) % self.order

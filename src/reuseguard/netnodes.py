@@ -80,12 +80,23 @@ class DecoyPolicy:
     A decoy query is built as a real run's is (fresh key pair, seed and
     slots) but indexes a Bloom item drawn from the run's rng instead of a
     password's slow hash (``protocol.build_decoy_query``); its verdict is
-    not read.
+    not read.  Run 1's scrypt wait fills the process's spare decoy, which
+    only a flow's first decoy takes: it starts one small comb batch plus
+    what the spare lacks after the verdict, not one whole build.  Only in
+    a process that runs many flows do earlier waits complete the spare.
+    The extra run builds inline.  Raises ValueError unless ``min_runs``
+    is at least 1 and ``extra_run_probability`` is in [0, 1].
     """
 
     enabled: bool = False
     min_runs: int = 2
     extra_run_probability: float = 0.5
+
+    def __post_init__(self):
+        if self.min_runs < 1:
+            raise ValueError("min_runs must be at least 1")
+        if not 0.0 <= self.extra_run_probability <= 1.0:  # also refuses nan
+            raise ValueError("extra_run_probability must be in [0, 1]")
 
 
 # -- responder service -------------------------------------------------------
@@ -480,8 +491,11 @@ def requester_set_password(client: DirectoryClient, account: str,
     for the episode reach at least ``min_runs``, plus one extra run with
     the configured probability) and registers ``register_endpoint`` for
     the account when given.  Only the first run hashes: each decoy query
-    indexes a Bloom item drawn from ``rng``.  Raises NoResponseError when
-    a run, decoys included, collects no reply at all.
+    indexes a Bloom item drawn from ``rng``.  With decoys enabled, the
+    first run's scrypt wait fills the process's spare decoy, reject or
+    accept, and the flow's first decoy takes it as far as this and
+    earlier flows' waits built it.  Raises NoResponseError when a run,
+    decoys included, collects no reply at all.
     """
     rng = rng or _SYSTEM_RNG
     canonical = canonicalize(account)
@@ -510,7 +524,8 @@ def requester_set_password(client: DirectoryClient, account: str,
                                             rng=rng))
 
     detections, received = one_run(*protocol.build_query(
-        canonical, password, plan.n, group=group, k=k, hash_params=hash_params, rng=rng))
+        canonical, password, plan.n, group=group, k=k, hash_params=hash_params, rng=rng,
+        fill_spare=policy.enabled))
     runs = 1
     if detections:
         return SetPasswordResult(False, detections, received, runs, plan)

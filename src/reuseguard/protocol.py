@@ -15,11 +15,13 @@ Everything here is transport-free; wire encoding lives in ``wire``.
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, FrozenSet, Iterable, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bloom, elgamal, similarity
 from .errors import InvalidCiphertextError
@@ -57,7 +59,7 @@ class RequesterSession:
 def build_query(account_id: str, password: str, n_target: int, *,
                 group=DEFAULT_GROUP, k: int = bloom.DEFAULT_NUM_HASHES,
                 hash_params: similarity.SlowHashParams = similarity.DEFAULT_HASH_PARAMS,
-                rng=None) -> Tuple[QueryMessage, RequesterSession]:
+                rng=None, fill_spare: bool = False) -> Tuple[QueryMessage, RequesterSession]:
     """Build the query for a candidate password.
 
     The filter is sized for ``n_target`` entries per responder under ``k``
@@ -72,50 +74,146 @@ def build_query(account_id: str, password: str, n_target: int, *,
     g^(u·x + r) from one small ``exp_generator_many`` batch.  All draws
     come from ``rng`` on the calling thread, in this order: the filter
     seed, the key, every slot's x, then r for each index in ascending order.
+
+    ``fill_spare`` is for a flow that may run decoys.  If the hash is still
+    running once the identity batch is done, this thread spends the wait
+    on the process's spare decoy run (see ``build_decoy_query``), one comb
+    window at a time, so the query leaves at most one window of a batch
+    the size of its own identity batch after the hash returns.  The spare
+    draws from the system CSPRNG, never from ``rng``, so how far it gets
+    changes no byte of this query.
     """
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
+    rng = rng or _SYSTEM_RNG
+    ell = bloom.length_for(n_target, k)
     with ThreadPoolExecutor(max_workers=1) as worker:
         hashing = worker.submit(similarity.bloom_item, password, account_id, hash_params)
-        return _build(account_id, n_target, group, k, rng or _SYSTEM_RNG, hashing.result)
+        offline = _draw_offline(group, ell, k, rng)
+        slots = elgamal.encrypt_powers(offline.keypair.sk, [(0, x) for x in offline.xs])
+        if fill_spare:
+            _fill_spare(group, ell, k, hashing)
+        return _online(account_id, offline, slots, hashing.result(), rng)
 
 
 def build_decoy_query(account_id: str, n_target: int, *,
                       group=DEFAULT_GROUP, k: int = bloom.DEFAULT_NUM_HASHES,
                       rng=None) -> Tuple[QueryMessage, RequesterSession]:
-    """Build a decoy run's query: ``build_query`` with a Bloom item drawn
-    from ``rng`` (after every slot's x) instead of a password's slow hash.
+    """Build a decoy run's query: a real run's query for a Bloom item
+    drawn from ``rng`` instead of a password's slow hash.
 
-    A uniform 32-byte item indexes the filter as the digest of a fresh
-    random password does, and every slot is an ElGamal ciphertext under a
-    fresh key, so the query's layout, size and distribution are a real
-    run's; nothing is hashed.
+    The part no password enters (a fresh seed and key pair, every slot
+    encrypted as the identity) is the process's spare when it has this
+    shape and no run has taken it: it is taken, so it serves this run
+    alone, and finished here if half-built.  Otherwise that part is built
+    inline the same way.  Either way it draws from the system CSPRNG.
+    Only the 32-byte item and then r for each of its slots draw from
+    ``rng``: one small comb batch.  So with a spare that earlier scrypt
+    waits filled, the decoy leaves about one small batch after the
+    previous verdict rather than one whole build.
+
+    A uniform item indexes the filter as the digest of a fresh random
+    password does, and every slot is an ElGamal ciphertext under a fresh
+    key, so the query's layout, size and distribution are a real run's;
+    nothing is hashed.
     """
     rng = rng or _SYSTEM_RNG
-    return _build(account_id, n_target, group, k, rng,
-                  lambda: rng.randbytes(similarity.DIGEST_BYTES))
+    shape = (group, bloom.length_for(n_target, k), k)
+    spare = _spare
+    taken = spare.take() if spare is not None and spare.shape == shape else None
+    offline, slots = taken or _Spare(*shape).take()
+    return _online(account_id, offline, slots, rng.randbytes(similarity.DIGEST_BYTES), rng)
 
 
-def _build(account_id: str, n_target: int, group, k: int, rng,
-           item: Callable[[], bytes]) -> Tuple[QueryMessage, RequesterSession]:
-    """The query for the Bloom item ``item()``, which is called once every
-    slot is encrypted as the identity."""
-    params = bloom.BloomParams(
-        bloom.length_for(n_target, k), k, rng.randbytes(bloom.SEED_BYTES)
-    )
+class _Offline(NamedTuple):
+    """The part of a run that no password enters: Bloom parameters with a
+    fresh seed, a fresh key pair, and every slot's encryption randomness x."""
+
+    params: bloom.BloomParams
+    keypair: elgamal.KeyPair
+    xs: List[int]
+
+
+def _draw_offline(group, ell: int, k: int, rng) -> _Offline:
+    params = bloom.BloomParams(ell, k, rng.randbytes(bloom.SEED_BYTES))
     keypair = elgamal.gen(group, rng)
-    order = group.order
-    xs = [rng.randrange(order) for _ in range(params.length_ell)]
-    slots = elgamal.encrypt_powers(keypair.sk, [(0, x) for x in xs])
-    j_r = bloom.indices(params, item())
+    return _Offline(params, keypair, [rng.randrange(group.order) for _ in range(ell)])
+
+
+def _online(account_id: str, offline: _Offline, slots: List[elgamal.Ciphertext],
+            item: bytes, rng) -> Tuple[QueryMessage, RequesterSession]:
+    """The query for Bloom item ``item``, from a run's offline part and its
+    slots encrypted as the identity (which this replaces in place)."""
+    params, keypair, xs = offline
+    order = keypair.group.order
+    j_r = bloom.indices(params, item)
     members = sorted(j_r)
     u = keypair.sk.scalar
-    bodies = group.exp_generator_many(
+    bodies = keypair.group.exp_generator_many(
         [(u * xs[j] + rng.randrange(order)) % order for j in members])
     for j, body in zip(members, bodies):
         slots[j] = slots[j]._replace(body=body)
     query = QueryMessage(account_id, keypair.pk, params, tuple(slots))
     return query, RequesterSession(keypair, params, j_r)
+
+
+class _Spare:
+    """One decoy run's offline part for ``shape`` = (group, ell, k), drawn
+    from the system CSPRNG, with the comb that encrypts its slots as the
+    identity one window per ``step()``.  ``take()`` hands it to one run."""
+
+    def __init__(self, group, ell: int, k: int):
+        self.shape = (group, ell, k)
+        self.offline = _draw_offline(group, ell, k, _SYSTEM_RNG)
+        self.comb = group.exp_generator_comb(elgamal.power_scalars(
+            self.offline.keypair.sk, [(0, x) for x in self.offline.xs]))
+        self.taken = False
+        self._lock = threading.Lock()
+
+    def step(self) -> bool:
+        """Run the next window; False, with no work done, once the spare is
+        complete or taken."""
+        with self._lock:
+            return not self.taken and self.comb.step()
+
+    def take(self) -> Optional[Tuple[_Offline, List[elgamal.Ciphertext]]]:
+        """The offline part and its identity slots, finished here, or None
+        if a run has taken them already."""
+        with self._lock:
+            if self.taken:
+                return None
+            self.taken = True
+            return self.offline, elgamal.power_ciphertexts(self.comb.finish())
+
+
+# The process's spare: filled by any flow's scrypt wait and taken by the
+# next decoy of its shape.  Two flows filling at once may replace each
+# other's half-built spare; a taken spare is never used again.
+_spare: Optional[_Spare] = None
+
+
+def _fill_spare(group, ell: int, k: int, hashing) -> None:
+    """Step the process's spare until ``hashing`` is done or the spare is
+    complete, first drawing a fresh one unless it is untaken and of this
+    shape."""
+    global _spare
+    while not hashing.done():
+        spare = _spare
+        if spare is None or spare.taken or spare.shape != (group, ell, k):
+            _spare = _Spare(group, ell, k)
+        elif not spare.step():
+            return
+
+
+def _forget_spare() -> None:
+    """Drop the spare.  Runs in every forked child, since the parent may
+    still send the spare's key."""
+    global _spare
+    _spare = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_spare)
 
 
 def validate_query(query: QueryMessage) -> None:

@@ -71,6 +71,33 @@ def test_exp_generator_many_matches_exp_generator(group, size):
     assert group.exp_generator_many(scalars) == [group.exp_generator(z) for z in scalars]
 
 
+@pytest.mark.parametrize("size", [0, 1, COMB8_MIN_BATCH])
+@pytest.mark.parametrize("group", [P192, P256, enumerable_group(101)],
+                         ids=lambda g: g.name)
+def test_comb_stopped_after_any_window_resumes_to_the_same_points(group, size):
+    rng = random.Random(100 + size)
+    scalars = (_edge_scalars(group.order) + [rng.randrange(group.order)
+                                             for _ in range(size)])[:size]
+    expected = [group.exp_generator(z) for z in scalars]
+    assert group.exp_generator_many(scalars) == expected
+    whole = group.exp_generator_comb(scalars)
+    windows = 0
+    while whole.step():
+        windows += 1
+    assert whole.finish() == expected
+    if isinstance(group, EnumerableGroup):
+        assert windows == 1
+    else:
+        bits = 8 if size >= COMB8_MIN_BATCH else 4
+        assert windows == (-(-group.order.bit_length() // bits) if size else 0)
+    for stop in range(windows + 1):
+        comb = group.exp_generator_comb(scalars)
+        assert all(comb.step() for _ in range(stop))
+        assert comb.finish() == expected
+        assert not comb.step()
+        assert comb.finish() == expected
+
+
 def test_exp_generator_many_picks_comb_width_by_batch_size(monkeypatch):
     for size, bits in ((COMB8_MIN_BATCH - 1, 4), (COMB8_MIN_BATCH, 8)):
         monkeypatch.setattr(P192, "_gen_tables", {})  # a cold curve

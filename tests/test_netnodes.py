@@ -434,6 +434,18 @@ def test_decoy_policy_runs_two_or_three(small_deployment):
     assert runs_seen == {2, 3}
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"min_runs": 0}, {"min_runs": -1},
+    {"extra_run_probability": float("nan")}, {"extra_run_probability": 1.5},
+    {"extra_run_probability": -0.1}, {"extra_run_probability": float("inf")},
+], ids=["min_runs=0", "min_runs=-1", "p=nan", "p=1.5", "p=-0.1", "p=inf"])
+def test_decoy_policy_refuses_values_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        DecoyPolicy(enabled=True, **kwargs)
+    DecoyPolicy(enabled=True, min_runs=1, extra_run_probability=0.0)
+    DecoyPolicy(enabled=True, min_runs=1, extra_run_probability=1.0)
+
+
 @pytest.mark.parametrize("extra", [0.0, 1.0])
 def test_decoy_runs_hash_nothing(small_deployment, monkeypatch, extra):
     dserver, _ = small_deployment
@@ -456,6 +468,63 @@ def test_decoy_runs_hash_nothing(small_deployment, monkeypatch, extra):
     assert result.accepted
     assert result.runs == (3 if extra else 2)
     assert hashed == ["fresh-pw-decoys"]
+
+
+def test_a_decoy_uses_the_spare_an_earlier_scrypt_wait_built(small_deployment, monkeypatch):
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE,
+                             rng=random.Random(6))
+    client.confirm_consent(client.begin_consent(ACCOUNT))
+    made = []
+
+    class CountingSpare(protocol._Spare):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def step(self):
+            self.stepped = True
+            return super().step()
+
+    hash_item = similarity.bloom_item
+
+    def slow_hash(*args):
+        time.sleep(0.3)
+        return hash_item(*args)
+
+    sent = []
+    send = client.query
+    monkeypatch.setattr(client, "query", lambda query, rho: sent.append(query) or send(query, rho))
+    monkeypatch.setattr(protocol, "_Spare", CountingSpare)
+    monkeypatch.setattr(similarity, "bloom_item", slow_hash)
+    protocol._forget_spare()
+    try:
+        # Decoys off: a slow scrypt wait computes no spare.
+        off = requester_set_password(client, ACCOUNT, "fresh-pw-no-decoys", 0.015,
+                                     DecoyPolicy(enabled=False), hash_params=CHEAP,
+                                     rng=random.Random(1))
+        assert off.accepted and off.runs == 1
+        assert made == [] and protocol._spare is None
+
+        # Decoys on: a rejected flow's scrypt wait fills the spare ...
+        policy = DecoyPolicy(enabled=True, min_runs=2, extra_run_probability=1.0)
+        rejected = requester_set_password(client, ACCOUNT, "hunter2", 0.015, policy,
+                                          hash_params=CHEAP, rng=random.Random(2))
+        assert not rejected.accepted and rejected.runs == 1
+        assert made == [protocol._spare] and made[0].stepped
+        key = made[0].offline.keypair.pk
+
+        # ... the next accepted flow's first decoy sends it, and the extra
+        # decoy builds its own inline.
+        monkeypatch.setattr(similarity, "bloom_item", hash_item)
+        accepted = requester_set_password(client, ACCOUNT, "fresh-pw-spare", 0.015, policy,
+                                          hash_params=CHEAP, rng=random.Random(3))
+        assert accepted.accepted and accepted.runs == 3
+        assert made[0].taken and sent[-2].pk == key
+        assert len(made) == 2 and not hasattr(made[1], "stepped")
+        assert len({query.pk for query in sent}) == len(sent) == 5
+    finally:
+        protocol._forget_spare()
 
 
 def test_accepted_password_registers_endpoint(small_deployment):

@@ -1,6 +1,9 @@
 import hashlib
+import os
 import random
+import sys
 import threading
+import time
 from itertools import combinations
 
 import pytest
@@ -207,6 +210,109 @@ def test_a_decoy_query_looks_like_a_real_one(monkeypatch):
     queries = [real] + [query for query, _ in decoys]
     assert len({query.pk.point for query in queries}) == 4
     assert len({query.bloom.hash_family_seed for query in queries}) == 4
+
+
+@pytest.fixture
+def no_spare():
+    protocol._forget_spare()
+    yield
+    protocol._forget_spare()
+
+
+def _plant_spare(group, n_target, k=bloom.DEFAULT_NUM_HASHES):
+    spare = protocol._spare = protocol._Spare(group, bloom.length_for(n_target, k), k)
+    return spare
+
+
+def test_a_spare_serves_one_decoy_only(no_spare):
+    spare = _plant_spare(P192, 16)
+    key = spare.offline.keypair.pk
+    seed = spare.offline.params.hash_family_seed
+    first, first_session = build_decoy_query(ACCOUNT, 16, group=P192, rng=random.Random(1))
+    assert first.pk == key and first.bloom.hash_family_seed == seed
+    assert spare.taken and spare.take() is None and not spare.step()
+    second, _ = build_decoy_query(ACCOUNT, 16, group=P192, rng=random.Random(1))
+    assert second.pk != first.pk
+    assert second.bloom.hash_family_seed != first.bloom.hash_family_seed
+    sk = first_session.keypair.sk
+    assert {j for j, c in enumerate(first.ciphertexts)
+            if elgamal.decrypt(sk, c) != P192.identity} == set(first_session.requester_index_set)
+
+
+def test_a_decoy_of_another_shape_leaves_the_spare(no_spare):
+    spare = _plant_spare(P192, 16)
+    for group, n_target, k in ((P256, 16, bloom.DEFAULT_NUM_HASHES), (P192, 64, bloom.DEFAULT_NUM_HASHES),
+                               (P192, 16, bloom.DEFAULT_NUM_HASHES + 1)):
+        query, _ = build_decoy_query(ACCOUNT, n_target, group=group, k=k)
+        assert query.pk != spare.offline.keypair.pk
+    assert protocol._spare is spare and not spare.taken and spare.step()
+
+
+def test_concurrent_decoys_never_share_a_spare(no_spare):
+    spare = _plant_spare(P192, 4)
+    assert spare.step()  # one window run
+    key = spare.offline.keypair.pk
+    start = threading.Barrier(4)
+    queries = []
+
+    def decoy():
+        start.wait(timeout=30)
+        queries.append(build_decoy_query(ACCOUNT, 4, group=P192)[0])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=decoy) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(queries) == 4
+    assert len({q.pk.point for q in queries}) == 4
+    assert len({q.bloom.hash_family_seed for q in queries}) == 4
+    assert sum(q.pk == key for q in queries) == 1
+    assert spare.taken
+
+
+def test_a_forked_child_holds_no_spare(no_spare):
+    _plant_spare(P192, 2)
+    protocol._forget_spare()  # the handler every fork runs in the child
+    assert protocol._spare is None
+    if not hasattr(os, "fork"):
+        return
+    _plant_spare(P192, 2)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if protocol._spare is None else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert protocol._spare is not None
+
+
+def test_filling_the_spare_never_touches_the_callers_rng(monkeypatch, no_spare):
+    fast_rng = random.Random(12)
+    fast, _ = build_query("pin@example.com", "hunter2", 16, group=P192,
+                          hash_params=CHEAP, rng=fast_rng)
+    assert protocol._spare is None
+    hash_item = similarity.bloom_item
+
+    def slow_hash(*args):
+        time.sleep(0.3)
+        return hash_item(*args)
+
+    monkeypatch.setattr(similarity, "bloom_item", slow_hash)
+    slow_rng = random.Random(12)
+    slow, _ = build_query("pin@example.com", "hunter2", 16, group=P192,
+                          hash_params=CHEAP, rng=slow_rng, fill_spare=True)
+    spare = protocol._spare
+    assert spare.shape == (P192, slow.bloom.length_ell, slow.bloom.num_hashes_k)
+    assert spare is not None and not spare.taken
+    assert _query_digest(slow) == _query_digest(fast) == PINNED_QUERY_DIGESTS["P192"][0]
+    assert slow_rng.getstate() == fast_rng.getstate()
+    assert slow.pk != spare.offline.keypair.pk
 
 
 def test_member_always_detected(rng, tg101):
