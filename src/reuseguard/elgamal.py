@@ -2,10 +2,10 @@
 
 The scheme is the usual tuple of algorithms: key generation, randomized
 encryption, and decryption that rejects anything outside the ciphertext
-space.  ``hexp`` raises a ciphertext to a scalar power; it exponentiates
-the two components directly and applies a single fresh rerandomization at
-the end, which yields the same output distribution as rerandomizing every
-step at a fraction of the group operations.
+space.  ``hexp`` raises a ciphertext to a scalar power and rerandomizes it
+once: each output component is one joint multiplication of an input
+component and a public point, which yields the same output distribution as
+rerandomizing every step at a fraction of the group operations.
 
 The holder of the secret key u can encrypt without the public key's
 powers: the encryption of g^r under randomness x is (g^x, g^r * U^x) =
@@ -128,26 +128,14 @@ def decrypt(sk: SecretKey, c: Ciphertext):
     return group.mul(c.body, group.inv(shared))
 
 
-def rerandomize(pk: PublicKey, c: Ciphertext, rng=None) -> Ciphertext:
-    # One U^y per key: a plain exponentiation, not a fixed-base table.
-    y = (rng or _SYSTEM_RNG).randrange(pk.group.order)
-    group = pk.group
-    return Ciphertext(
-        group.mul(c.ephemeral, group.exp_generator(y)),
-        group.mul(c.body, group.exp(pk.point, y)),
-    )
-
-
 def hexp(pk: PublicKey, c: Ciphertext, z: int, rng=None) -> Optional[Ciphertext]:
-    """Homomorphic exponentiation: a uniform ciphertext of m^z.
-
-    Component-wise square-and-multiply followed by one rerandomization.
-    Returns None when the input ciphertext fails validation.
-    """
+    """Homomorphic exponentiation: a uniform ciphertext of m^z, namely
+    (C1^z * g^y, C2^z * U^y) for a fresh y, each component one joint
+    multiplication (``multi_exp``).  None when c fails validation."""
     if not validate_ciphertext(pk, c):
         return None
     group = pk.group
-    z %= group.order
-    raw = Ciphertext(group.exp(c.ephemeral, z), group.exp(c.body, z))
-    return rerandomize(pk, raw, rng)
+    y = (rng or _SYSTEM_RNG).randrange(group.order)
+    return Ciphertext(group.multi_exp([(c.ephemeral, z), (group.generator, y)]),
+                      group.multi_exp([(c.body, z), (pk.point, y)]))
 

@@ -99,26 +99,28 @@ def sqrt_mod_prime(value: int, p: int) -> int:
 
 
 # Jacobian-coordinate primitives.  A point is (X, Y, Z) with affine
-# x = X/Z^2, y = Y/Z^3; the identity has Z = 0.
+# x = X/Z^2, y = Y/Z^3; the identity has Z = 0.  Every curve here has
+# a = -3 (checked in ``EllipticCurveGroup``), which doubling relies on.
 
 _JAC_INFINITY = (1, 1, 0)
 
 
-def _jac_double(P, p, a):
+def _jac_double(P, p):
+    """2P for a = -3 (dbl-2001-b)."""
     X1, Y1, Z1 = P
     if Z1 == 0 or Y1 == 0:
         return _JAC_INFINITY
-    YY = Y1 * Y1 % p
-    S = 4 * X1 * YY % p
-    ZZ = Z1 * Z1 % p
-    M = (3 * X1 * X1 + a * ZZ % p * ZZ) % p
-    X3 = (M * M - 2 * S) % p
-    Y3 = (M * (S - X3) - 8 * YY * YY) % p
+    delta = Z1 * Z1 % p
+    gamma = Y1 * Y1 % p
+    beta = X1 * gamma % p
+    alpha = 3 * (X1 - delta) * (X1 + delta) % p
+    X3 = (alpha * alpha - 8 * beta) % p
+    Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % p
     Z3 = 2 * Y1 * Z1 % p
     return (X3, Y3, Z3)
 
 
-def _jac_add_affine(P, q, p, a):
+def _jac_add_affine(P, q, p):
     """Mixed addition of a Jacobian point and an affine point."""
     if q is None:
         return P
@@ -132,7 +134,7 @@ def _jac_add_affine(P, q, p, a):
     if U2 == X1:
         if S2 != Y1:
             return _JAC_INFINITY
-        return _jac_double(P, p, a)
+        return _jac_double(P, p)
     H = (U2 - X1) % p
     HH = H * H % p
     HHH = H * HH % p
@@ -163,38 +165,60 @@ def _batch_to_affine(points, p) -> list:
     return out
 
 
-class FixedBaseTable:
-    """Comb table for fast scalar multiplication of one fixed base point.
+def _add_affine_into(accs, addends, p) -> None:
+    """accs[i] += q in affine form for every (i, q) in addends, the slopes
+    sharing one field inversion (Montgomery's trick).  No q may equal
+    accs[i] or its opposite: pow would raise on the zero x-difference."""
+    before = []  # product of the earlier x-differences
+    product = 1
+    for i, (x2, _) in addends:
+        before.append(product)
+        product = product * (x2 - accs[i][0]) % p
+    inv = pow(product, -1, p)
+    for (i, (x2, y2)), b in zip(reversed(addends), reversed(before)):
+        x1, y1 = accs[i]
+        slope = (y2 - y1) * inv * b % p
+        inv = inv * (x2 - x1) % p
+        x3 = (slope * slope - x1 - x2) % p
+        accs[i] = (x3, (slope * (x1 - x3) - y1) % p)
 
-    Stores d * (2^(bits*i)) * B in affine form for every window position i
-    and digit d < 2^bits, so a multiplication costs one mixed addition per
-    ``bits``-bit window.
+
+COMB_BITS = 8  # scalar bits per window of the generator comb
+
+
+class FixedBaseTable:
+    """Lim-Lee comb of one fixed base point B: row i holds d * 2^(8i) * B
+    in affine form for every digit d < 256, so a multiplication costs one
+    mixed addition per 8-bit window.
+
+    One doubling chain gives every row's 1 and 2 entries.  Then at each
+    step d every row adds its 1 entry to its d - 1 entry (never equal or
+    opposite, as r > 256), all rows sharing one inversion.
     """
 
-    __slots__ = ("group", "bits", "rows")
+    __slots__ = ("group", "rows")
 
-    def __init__(self, group: "EllipticCurveGroup", base: Point, bits: int = 4):
-        p, a = group.p, group.a
-        size = 1 << bits
-        windows = -(-group.order.bit_length() // bits)
-        jac_points = []
-        row_base = base
-        for _ in range(windows):
-            acc = _JAC_INFINITY
-            jac_points.append(acc)
-            for _ in range(size - 1):
-                acc = _jac_add_affine(acc, row_base, p, a)
-                jac_points.append(acc)
-            row_base = _batch_to_affine([_jac_add_affine(acc, row_base, p, a)], p)[0]
-        flat = _batch_to_affine(jac_points, p)
+    def __init__(self, group: "EllipticCurveGroup", base: Point):
+        p = group.p
+        windows = -(-group.order.bit_length() // COMB_BITS)
+        chain = [(base[0], base[1], 1)]
+        for _ in range(COMB_BITS * (windows - 1) + 1):
+            chain.append(_jac_double(chain[-1], p))
+        chain = _batch_to_affine(chain, p)  # chain[j] = 2^j * B
+        rows = [[None, chain[j], chain[j + 1]]
+                for j in range(0, COMB_BITS * windows, COMB_BITS)]
+        last = [row[2] for row in rows]
+        bases = [(i, row[1]) for i, row in enumerate(rows)]
+        for _ in range(3, 1 << COMB_BITS):
+            _add_affine_into(last, bases, p)
+            for row, point in zip(rows, last):
+                row.append(point)
         self.group = group
-        self.bits = bits
-        self.rows = [flat[i * size:(i + 1) * size] for i in range(windows)]
+        self.rows = rows
 
     def mul(self, k: int) -> Point:
         """k * B, accumulated in Jacobian form and normalized once."""
-        p, a = self.group.p, self.group.a
-        bits, mask = self.bits, (1 << self.bits) - 1
+        p, mask = self.group.p, (1 << COMB_BITS) - 1
         k %= self.group.order
         acc = _JAC_INFINITY
         for row in self.rows:
@@ -202,15 +226,9 @@ class FixedBaseTable:
                 break
             d = k & mask
             if d:
-                acc = _jac_add_affine(acc, row[d], p, a)
-            k >>= bits
+                acc = _jac_add_affine(acc, row[d], p)
+            k >>= COMB_BITS
         return _batch_to_affine([acc], p)[0]
-
-
-# Smallest batch that exp_generator_many runs through the 8-bit comb.  The
-# 8-bit table costs 255 additions per window to build and saves about one
-# addition per window on every multiply, so a batch this large repays it.
-COMB8_MIN_BATCH = 256
 
 
 class Comb:
@@ -257,11 +275,11 @@ class EllipticCurveGroup:
         self.order = order
         self.field_bytes = (p.bit_length() + 7) // 8
         self.identity: Point = None
-        if not _is_prime(p) or not _is_prime(order):
-            raise UnsupportedGroupError(f"{name}: field or order not prime")
+        if a != p - 3:
+            raise UnsupportedGroupError(f"{name}: doubling needs a = -3")
         if (gy * gy - (gx * gx * gx + a * gx + b)) % p != 0:
             raise UnsupportedGroupError(f"{name}: generator not on curve")
-        self._gen_tables: dict = {}  # comb width in bits -> FixedBaseTable
+        self._gen_table: Optional[FixedBaseTable] = None
 
     def __repr__(self):
         return f"EllipticCurveGroup({self.name})"
@@ -279,12 +297,7 @@ class EllipticCurveGroup:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
     def mul(self, e1: Point, e2: Point) -> Point:
-        if e1 is None:
-            return e2
-        if e2 is None:
-            return e1
-        return _batch_to_affine(
-            [_jac_add_affine((e1[0], e1[1], 1), e2, self.p, self.a)], self.p)[0]
+        return self.product([e1, e2])
 
     def inv(self, e: Point) -> Point:
         if e is None:
@@ -293,41 +306,48 @@ class EllipticCurveGroup:
         return (x, (-y) % self.p)
 
     def exp(self, e: Point, z: int) -> Point:
-        """Scalar multiple z*e via a 4-bit fixed window over an affine table."""
-        z %= self.order
-        if e is None or z == 0:
+        """Scalar multiple z*e: ``multi_exp`` with one term."""
+        return self.multi_exp([(e, z)])
+
+    def multi_exp(self, terms: Sequence[Tuple[Point, int]]) -> Point:
+        """The sum of z*e over the (e, z) terms on one doubling chain with
+        4-bit windows (Straus), every base's multiples 1..15 normalized
+        with one shared inversion."""
+        p, order = self.p, self.order
+        terms = [(e, z % order) for e, z in terms if e is not None and z % order]
+        if not terms:
             return None
-        p, a = self.p, self.a
-        multiples = [(e[0], e[1], 1)]
-        for _ in range(14):
-            multiples.append(_jac_add_affine(multiples[-1], e, p, a))
-        table = [None] + _batch_to_affine(multiples, p)  # table[d] = d*e
+        multiples = []
+        for e, _ in terms:
+            multiples.append((e[0], e[1], 1))
+            for _ in range(14):
+                multiples.append(_jac_add_affine(multiples[-1], e, p))
+        flat = _batch_to_affine(multiples, p)
+        tables = [[None] + flat[i:i + 15] for i in range(0, len(flat), 15)]
+        top = max(z.bit_length() for _, z in terms)
         acc = _JAC_INFINITY
-        for shift in range(4 * ((z.bit_length() + 3) // 4) - 4, -1, -4):
-            if acc[2] != 0:
-                acc = _jac_double(acc, p, a)
-                acc = _jac_double(acc, p, a)
-                acc = _jac_double(acc, p, a)
-                acc = _jac_double(acc, p, a)
-            d = (z >> shift) & 15
-            if d:
-                acc = _jac_add_affine(acc, table[d], p, a)
+        for shift in range(4 * ((top + 3) // 4) - 4, -1, -4):
+            for _ in range(4):
+                acc = _jac_double(acc, p)
+            for (_, z), table in zip(terms, tables):
+                d = (z >> shift) & 15
+                if d:
+                    acc = _jac_add_affine(acc, table[d], p)
         return _batch_to_affine([acc], p)[0]
 
     def product(self, elements: Sequence[Point]) -> Point:
         """Group product of a sequence, accumulated without normalizing."""
         acc = _JAC_INFINITY
-        p, a = self.p, self.a
+        p = self.p
         for e in elements:
-            acc = _jac_add_affine(acc, e, p, a)
+            acc = _jac_add_affine(acc, e, p)
         return _batch_to_affine([acc], p)[0]
 
-    def generator_table(self, bits: int = 4) -> FixedBaseTable:
-        """The generator's comb, built once per width per process."""
-        table = self._gen_tables.get(bits)
-        if table is None:
-            table = self._gen_tables[bits] = FixedBaseTable(self, self.generator, bits)
-        return table
+    def generator_table(self) -> FixedBaseTable:
+        """The generator's comb, built once per process."""
+        if self._gen_table is None:
+            self._gen_table = FixedBaseTable(self, self.generator)
+        return self._gen_table
 
     def exp_generator(self, z: int) -> Point:
         return self.generator_table().mul(z)
@@ -335,13 +355,10 @@ class EllipticCurveGroup:
     def exp_generator_many(self, scalars: Sequence[int]) -> list:
         """``[exp_generator(z) for z in scalars]`` by a lockstep affine comb.
 
-        The whole batch walks the comb one window at a time.  In each window
-        every accumulator with a nonzero digit d adds ``row[d]`` as an affine
-        point, and all of the window's slope denominators share one field
-        inversion through prefix products (Montgomery's trick), so an
-        addition costs about six multiplications.  Batches of at least
-        ``COMB8_MIN_BATCH`` scalars use the 8-bit comb, smaller ones the
-        4-bit comb.
+        The whole batch walks the generator's comb one window at a time.
+        In each window every accumulator with a nonzero digit d adds
+        ``row[d]`` as an affine point, and all of the window's additions
+        share one field inversion (``_add_affine_into``).
         """
         return self.exp_generator_comb(scalars).finish()
 
@@ -351,35 +368,23 @@ class EllipticCurveGroup:
         return Comb(self._comb_windows(list(scalars)))
 
     def _comb_windows(self, scalars: list):
-        table = self.generator_table(8 if len(scalars) >= COMB8_MIN_BATCH else 4)
-        p, bits, mask = self.p, table.bits, (1 << table.bits) - 1
-        shifts = range(0, bits * len(table.rows), bits)
+        table = self.generator_table()
+        p, mask = self.p, (1 << COMB_BITS) - 1
+        shifts = range(0, COMB_BITS * len(table.rows), COMB_BITS)
         digit_columns = zip(*[[(z >> s) & mask for s in shifts]
                               for z in [z % self.order for z in scalars]])
         accs = [None] * len(scalars)
         for row, digits in zip(table.rows, digit_columns):
-            pending = []  # (index, acc, addend, product of earlier x-differences)
-            product = 1
+            # An accumulator holds k_low*G, 0 < k_low < 2^(8w), and k < r, so
+            # k_low + d*2^(8w) <= k: it is never equal or opposite to row[d].
+            addends = []
             for i, d in enumerate(digits):
                 if d:
-                    acc = accs[i]
-                    if acc is None:
+                    if accs[i] is None:
                         accs[i] = row[d]
                     else:
-                        q = row[d]
-                        pending.append((i, acc, q, product))
-                        product = product * (q[0] - acc[0]) % p
-            # Before window w an accumulator holds k_low*G with
-            # 0 < k_low < 2^(bits*w), and row[d] is d*2^(bits*w)*G.  As the
-            # scalar k < r, k_low + d*2^(bits*w) <= k never reaches r, so the
-            # two points are never equal or opposite and no x-difference is
-            # 0.  Were one 0, pow would raise rather than return a wrong point.
-            inv = pow(product, -1, p)
-            for i, (x1, y1), (x2, y2), before in reversed(pending):
-                slope = (y2 - y1) * inv * before % p
-                inv = inv * (x2 - x1) % p
-                x3 = (slope * slope - x1 - x2) % p
-                accs[i] = (x3, (slope * (x1 - x3) - y1) % p)
+                        addends.append((i, row[d]))
+            _add_affine_into(accs, addends, p)
             yield
         return accs
 
@@ -449,6 +454,9 @@ class EnumerableGroup:
 
     def exp_generator(self, z: int) -> int:
         return z % self.order
+
+    def multi_exp(self, terms: Sequence[Tuple[int, int]]) -> int:
+        return sum(e * z for e, z in terms) % self.order
 
     def exp_generator_many(self, scalars: Sequence[int]) -> list:
         return self.exp_generator_comb(scalars).finish()

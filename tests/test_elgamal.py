@@ -11,7 +11,6 @@ from reuseguard.elgamal import (
     encrypt_with_randomness,
     gen,
     hexp,
-    rerandomize,
     validate_ciphertext,
 )
 from reuseguard.groups import CURVES, P192, enumerable_group
@@ -117,6 +116,8 @@ def test_hexp_matches_scalar_arithmetic(tg101, rng):
     one = encrypt(kp.pk, tg101.identity, rng)
     for z in (0, 1, 2, 57, 100):
         assert decrypt(kp.sk, hexp(kp.pk, one, z, rng)) == tg101.identity
+    for z in range(-1, 203):
+        assert decrypt(kp.sk, hexp(kp.pk, c2, z, rng)) == 2 * z % 101
     assert hexp(kp.pk, Ciphertext(101, 0), 3, rng) is None
 
 
@@ -129,10 +130,10 @@ def test_hexp_rerandomizes_output(rng):
     assert decrypt(kp.sk, a) == decrypt(kp.sk, b)
 
 
-def test_rerandomize_preserves_plaintext(tg101, rng):
+def test_hexp_with_z_1_preserves_plaintext(tg101, rng):
     kp = gen(tg101, rng)
     c = encrypt(kp.pk, 9, rng)
-    seen = {rerandomize(kp.pk, c, rng) for _ in range(50)}
+    seen = {hexp(kp.pk, c, 1, rng) for _ in range(50)}
     assert len(seen) > 1
     assert all(decrypt(kp.sk, x) == 9 for x in seen)
 

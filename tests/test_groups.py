@@ -5,17 +5,63 @@ from hypothesis import given, settings, strategies as st
 
 from reuseguard.errors import NotOnCurveError, UnsupportedGroupError
 from reuseguard.groups import (
-    COMB8_MIN_BATCH,
     P160,
     P192,
     P224,
     P256,
+    EllipticCurveGroup,
     EnumerableGroup,
+    FixedBaseTable,
+    _is_prime,
     sqrt_mod_prime,
     enumerable_group,
 )
 
 ALL_CURVES = [P160, P192, P224, P256]
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_curve_field_and_order_are_prime(curve):
+    assert _is_prime(curve.p) and _is_prime(curve.order)
+
+
+def test_curve_with_a_other_than_minus_3_is_refused():
+    # y^2 = x^3 + b through P192's generator: only a differs.
+    gx, gy = P192.generator
+    b = (gy * gy - gx * gx * gx) % P192.p
+    with pytest.raises(UnsupportedGroupError):
+        EllipticCurveGroup("a0", P192.p, 0, b, gx, gy, P192.order)
+    with pytest.raises(UnsupportedGroupError):
+        EllipticCurveGroup("off", P192.p, P192.a, P192.b, gx, gy + 1, P192.order)
+
+
+def _affine_add(curve, P, Q):
+    """Reference point addition in affine form, for any a."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    p = curve.p
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return (x3, (slope * (x1 - x3) - y1) % p)
+
+
+def _reference_mul(curve, P, n):
+    acc = None
+    n %= curve.order
+    while n:
+        if n & 1:
+            acc = _affine_add(curve, acc, P)
+        P = _affine_add(curve, P, P)
+        n >>= 1
+    return acc
 
 
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
@@ -54,14 +100,55 @@ def test_fixed_base_table_matches_plain_exp(curve):
     assert curve.exp_generator(3) == curve.exp(curve.generator, 3)
 
 
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_lockstep_table_holds_d_times_2_to_the_8i_times_g(curve):
+    rows = FixedBaseTable(curve, curve.generator).rows
+    assert len(rows) == -(-curve.order.bit_length() // 8)
+    for i, row in enumerate(rows):
+        assert len(row) == 256 and row[0] is None
+        assert row[1] == _reference_mul(curve, curve.generator, 1 << (8 * i))
+        for d in range(2, 256):
+            assert row[d] == _affine_add(curve, row[d - 1], row[1])
+    rng = random.Random(19)
+    for _ in range(4):
+        i, d = rng.randrange(len(rows)), rng.randrange(1, 256)
+        assert rows[i][d] == _reference_mul(curve, curve.generator, d << (8 * i))
+
+
+def _joint_edge_scalars(order):
+    return [0, 1, order - 1, order, order + 1, 2 * order + 5,
+            1 << (order.bit_length() - 1)]
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_multi_exp_equals_the_sum_of_separate_exps(curve):
+    # The identity as a base, P with -P (mixed addition's cancel branch)
+    # and P with P (its doubling branch) as well as two unrelated points.
+    rng = random.Random(23)
+    P, Q = curve.random_element(rng), curve.random_element(rng)
+    scalars = _joint_edge_scalars(curve.order)
+    for A, B in ((P, Q), (None, P), (P, curve.inv(P)), (P, P)):
+        multiples_a = [_reference_mul(curve, A, z) if A else None for z in scalars]
+        multiples_b = [_reference_mul(curve, B, z) for z in scalars]
+        for za, a_z in zip(scalars, multiples_a):
+            assert curve.exp(A, za) == a_z
+            for zb, b_z in zip(scalars, multiples_b):
+                assert curve.multi_exp([(A, za), (B, zb)]) == _affine_add(curve, a_z, b_z)
+    z = [rng.randrange(curve.order) for _ in range(3)]
+    three = curve.multi_exp([(P, z[0]), (Q, z[1]), (curve.generator, z[2])])
+    assert three == curve.product([curve.exp(P, z[0]), curve.exp(Q, z[1]),
+                                   curve.exp_generator(z[2])])
+    assert curve.multi_exp([]) is None
+
+
 def _edge_scalars(order):
     # Unreduced multiples of the order, and a scalar whose only nonzero
-    # digit is in the top window of either comb width.
+    # digit is in the comb's top window.
     return [0, 1, order - 1, 256, 512, 256 ** 3, order - order % 256,
             order, order + 1, 2 * order + 5, 1 << (order.bit_length() - 1)]
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 20, COMB8_MIN_BATCH - 1, COMB8_MIN_BATCH, 1000])
+@pytest.mark.parametrize("size", [0, 1, 2, 20, 255, 256, 1000])
 @pytest.mark.parametrize("group", ALL_CURVES + [enumerable_group(101)],
                          ids=lambda g: g.name)
 def test_exp_generator_many_matches_exp_generator(group, size):
@@ -71,7 +158,7 @@ def test_exp_generator_many_matches_exp_generator(group, size):
     assert group.exp_generator_many(scalars) == [group.exp_generator(z) for z in scalars]
 
 
-@pytest.mark.parametrize("size", [0, 1, COMB8_MIN_BATCH])
+@pytest.mark.parametrize("size", [0, 1, 256])
 @pytest.mark.parametrize("group", [P192, P256, enumerable_group(101)],
                          ids=lambda g: g.name)
 def test_comb_stopped_after_any_window_resumes_to_the_same_points(group, size):
@@ -88,8 +175,7 @@ def test_comb_stopped_after_any_window_resumes_to_the_same_points(group, size):
     if isinstance(group, EnumerableGroup):
         assert windows == 1
     else:
-        bits = 8 if size >= COMB8_MIN_BATCH else 4
-        assert windows == (-(-group.order.bit_length() // bits) if size else 0)
+        assert windows == (-(-group.order.bit_length() // 8) if size else 0)
     for stop in range(windows + 1):
         comb = group.exp_generator_comb(scalars)
         assert all(comb.step() for _ in range(stop))
@@ -98,11 +184,26 @@ def test_comb_stopped_after_any_window_resumes_to_the_same_points(group, size):
         assert comb.finish() == expected
 
 
-def test_exp_generator_many_picks_comb_width_by_batch_size(monkeypatch):
-    for size, bits in ((COMB8_MIN_BATCH - 1, 4), (COMB8_MIN_BATCH, 8)):
-        monkeypatch.setattr(P192, "_gen_tables", {})  # a cold curve
-        P192.exp_generator_many([1] * size)
-        assert [t.bits for t in P192._gen_tables.values()] == [bits]
+def test_every_batch_size_runs_the_one_8_bit_comb(monkeypatch):
+    built = []
+    init = FixedBaseTable.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FixedBaseTable, "__init__", counting_init)
+    for size in (1, 20, 255, 256):
+        built.clear()
+        monkeypatch.setattr(P192, "_gen_table", None)  # a cold curve
+        comb = P192.exp_generator_comb([1] * size)
+        windows = 0
+        while comb.step():
+            windows += 1
+        assert windows == -(-P192.order.bit_length() // 8)
+        P192.exp_generator(5)
+        P192.random_element()
+        assert built == [P192.generator_table()]
 
 
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)

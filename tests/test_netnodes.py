@@ -1,5 +1,7 @@
+import hashlib
 import os
 import random
+import secrets
 import socket
 import socketserver
 import statistics
@@ -17,7 +19,7 @@ from reuseguard.errors import (
     NoResponseError,
     TransportError,
 )
-from reuseguard.groups import P192, P256, EllipticCurveGroup
+from reuseguard.groups import P192, P224, P256, EllipticCurveGroup
 from reuseguard.netnodes import (
     TRUSTED_PROFILE,
     UNTRUSTED_PROFILE,
@@ -184,6 +186,36 @@ def test_responder_unknown_account_answers_not_similar(responder_server):
                                           group=P192, hash_params=CHEAP)
     response = transport(ResponderEndpoint(responder_server.address), query, 5.0)
     assert protocol.decode_result(session, response) is False
+
+
+# sha256 of a responder's reply to a fixed n = 4 query, with a seeded
+# blinding rng, and of a seeded audit query's encoding.  Affine points are
+# unique, so no change to how the curve arithmetic computes them may move
+# a byte.
+PINNED_REPLY_DIGESTS = {
+    "P192": "f041ff56fd7997007e49cb85506d8614f7d99991191aaae0da79cbfb9b194d3a",
+    "P224": "5e2aa672c584121a35c1a661276bd4465faf5a4ebfe70fcafbe53b35a1eaf6e1",
+    "P256": "2700dc1dabd5d2b185d84b8baffc70e37e8299fa207964e3e0bf59ba06b41b8f",
+}
+PINNED_AUDIT_QUERY_DIGEST = "296570bd1f4d044f3fab13f94eeb2140a7d8b126d429ac9d87125288354a8185"
+
+
+@pytest.mark.parametrize("group", [P192, P224, P256], ids=lambda g: g.name)
+def test_seeded_answer_keeps_its_bytes(group):
+    store = ResponderStore()
+    store.add(similarity.build_similar_set(ACCOUNT, "hunter2", 1, 4, CHEAP))
+    query, _ = protocol.build_query(ACCOUNT, "hunter2", 4, group=group,
+                                    hash_params=CHEAP, rng=random.Random(31))
+    opcode, body = answer_query(store, wire.encode_query(query), random.Random(32))
+    assert opcode == wire.OP_RESPONSE
+    assert hashlib.sha256(body).hexdigest() == PINNED_REPLY_DIGESTS[group.name]
+
+
+def test_seeded_audit_query_keeps_its_bytes(monkeypatch):
+    monkeypatch.setattr(secrets, "token_hex", lambda n: "ab" * n)
+    query, _ = Directory().build_audit_query(random.Random(33))
+    digest = hashlib.sha256(wire.encode_query(query)).hexdigest()
+    assert digest == PINNED_AUDIT_QUERY_DIGEST
 
 
 def test_responder_error_frame_same_size_as_response(responder_server):

@@ -85,7 +85,7 @@ def _per_slot_reference_query(account, password, n_target, group, rng):
 @pytest.mark.parametrize("group", [P192, P256, enumerable_group(101)],
                          ids=lambda g: g.name)
 def test_build_query_equals_per_slot_encryption(group):
-    # n = 4 gives 232 scalars (4-bit comb), n = 16 gives 924 (8-bit comb).
+    # n = 4 gives a batch of 232 scalars, n = 16 one of 924.
     for seed, n_target in ((1, 4), (2, 16)):
         query, _ = build_query(ACCOUNT, "hunter2", n_target, group=group,
                                hash_params=CHEAP, rng=random.Random(seed))
@@ -120,8 +120,8 @@ def _query_digest(query):
 @pytest.mark.parametrize("group", [P160, P192, P224, P256, enumerable_group(101)],
                          ids=lambda g: g.name)
 def test_seeded_queries_keep_their_encodings(group):
-    # n = 16 runs the 8-bit comb over 924 scalars and the 4-bit comb over
-    # the k = 20 bodies; the audit query's 32 scalars take the 4-bit comb.
+    # n = 16 runs the comb over 924 scalars and over the k = 20 bodies;
+    # the audit query's batch is 32 scalars.
     query, _ = build_query("pin@example.com", "hunter2", 16, group=group,
                            hash_params=CHEAP, rng=random.Random(12))
     audit, _ = Directory(audit_group=group).build_audit_query(random.Random(12))
