@@ -146,7 +146,8 @@ def requester_main(argv=None) -> int:
     parser.add_argument("--directory", required=True, help="directory host:port")
     parser.add_argument("--account", required=True, help="account email address")
     parser.add_argument("--t-goal", type=float, required=True,
-                        help="response-time goal in seconds")
+                        help="response-time goal in seconds, at most the "
+                             "directory's per-responder deadline for --profile")
     parser.add_argument("--decoys", action="store_true",
                         help="run decoy protocol executions after acceptance")
     parser.add_argument("--password",
@@ -162,6 +163,15 @@ def requester_main(argv=None) -> int:
                         help="request and confirm a consent token first "
                              "(stands in for the account owner's click)")
     args = parser.parse_args(argv)
+
+    # A plan for a longer goal builds a query no responder answers before the
+    # directory stops waiting.
+    deadline = TIMEOUT_PROFILES[args.profile]
+    if not 0 < args.t_goal <= deadline:  # also refuses nan
+        print(f"rejected: a --t-goal of {args.t_goal} s is not in (0, {deadline}] s, "
+              f"the directory's per-responder deadline for --profile {args.profile}",
+              file=sys.stderr)
+        return 2
 
     hash_params = DEFAULT_HASH_PARAMS
     if args.hash_cost is not None:

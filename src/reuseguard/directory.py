@@ -17,7 +17,8 @@ reply bytes; only ``account_id`` is read here.
 The directory can also audit a responder by sending a query whose every
 slot is a non-identity encryption under a key the directory itself holds;
 any identity answer to such a query is proof of a fabricated "reused"
-verdict.
+verdict.  The daemon builds each audit's query after answering the one
+before (``prepare_audit``), so an audit waits only on the responder.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ MAX_FANOUT = 64  # the most responders one query asks, each on its own thread
 
 _AUDIT_FILTER_LENGTH = 16
 _AUDIT_NUM_HASHES = 2
+_SYSTEM_RNG = random.SystemRandom()
 
 
 def canonicalize(email: str) -> str:
@@ -166,6 +168,7 @@ class Directory:
         self._tokens: Dict[str, ConsentState] = {}
         self._windows: Dict[str, _Window] = {}
         self._flagged: Set[ResponderEndpoint] = set()
+        self._next_audit = None  # (query, keypair) from prepare_audit, for one audit
         self._log_fh = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
@@ -360,11 +363,36 @@ class Directory:
         query = protocol.QueryMessage(account, keypair.pk, params, ciphertexts)
         return query, keypair
 
+    def prepare_audit(self) -> None:
+        """Build the next audit's query and key pair, unless one is held.
+
+        Draws from the system CSPRNG, never from this directory's ``rng``, so
+        a seeded directory's draws do not depend on when this runs.  The
+        directory daemon calls it once it has sent an audit's verdict.
+        """
+        with self._lock:
+            if self._next_audit is not None:
+                return
+        built = self.build_audit_query(_SYSTEM_RNG)
+        with self._lock:
+            if self._next_audit is None:
+                self._next_audit = built
+
     def audit_responder(self, endpoint: ResponderEndpoint) -> AuditVerdict:
-        """Probe one responder with an all-non-identity query."""
+        """Probe one responder with an all-non-identity query.
+
+        The query is the one ``prepare_audit`` built, when one is held, and
+        it serves this audit alone.  Otherwise it is built here by
+        ``build_audit_query`` from this directory's ``rng``: for a
+        directory's first audit, for one that finds the prebuilt query taken
+        or not yet built, and for every audit when nothing calls
+        ``prepare_audit``, as in process.
+        """
         if self.transport is None:
             raise RuntimeError("directory has no transport configured")
-        query, keypair = self.build_audit_query()
+        with self._lock:
+            prebuilt, self._next_audit = self._next_audit, None
+        query, keypair = prebuilt or self.build_audit_query()
         try:
             response = self.transport(endpoint, query, self.per_responder_timeout)
         except Exception:

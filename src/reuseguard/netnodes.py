@@ -195,7 +195,8 @@ def _read_frame_by(sock: socket.socket, deadline: float) -> Tuple[int, bytes]:
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
-    """Reads one frame and sends back the server's ``dispatch`` of it."""
+    """Reads one frame, sends back the server's ``dispatch`` of it, closes
+    the connection and only then runs the server's ``after_reply``."""
 
     def handle(self):
         sock = self.request
@@ -208,6 +209,8 @@ class _FrameHandler(socketserver.BaseRequestHandler):
             sock.sendall(reply)
         except OSError:
             pass
+        self.server.shutdown_request(sock)  # closing it again later is a no-op
+        self.server.after_reply(opcode)
 
 
 class _FrameServer(socketserver.ThreadingTCPServer):
@@ -224,6 +227,10 @@ class _FrameServer(socketserver.ThreadingTCPServer):
     def address(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
+
+    def after_reply(self, opcode: int) -> None:
+        """Work for the handler thread once the reply to ``opcode`` is sent
+        and its connection closed; none by default."""
 
     def serve_in_background(self):
         threading.Thread(target=self.serve_forever, daemon=True).start()
@@ -358,6 +365,12 @@ class DirectoryServer(_FrameServer):
             return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group)
         except Exception:
             return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, group)
+
+    def after_reply(self, opcode: int) -> None:
+        """Build the next audit once an audit's verdict is sent, so the next
+        audit's round trip waits only on the responder."""
+        if opcode == wire.OP_AUDIT:
+            self.directory.prepare_audit()
 
     def _coordinate(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
         """A request other than a query.  A payload that does not decode

@@ -325,3 +325,23 @@ def test_requester_reports_a_bad_input_in_one_line(capsys, directory_address, ex
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _closed_port_address():
+    with socket.socket() as sock:  # a port with nothing listening
+        sock.bind(("127.0.0.1", 0))
+        return "127.0.0.1:%d" % sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("t_goal, code, prefix", [
+    (t_goal, 2, "rejected: ") for t_goal in ("2.5", "inf", "nan", "0", "-1")
+] + [("2.0", 4, "error: ")])  # trusted: the directory waits 2 s
+def test_requester_refuses_a_goal_the_directory_will_not_wait_for(t_goal, code, prefix):
+    # The directory is unreachable, so a goal let through ends in exit 4.
+    proc = subprocess.run(
+        [sys.executable, "-m", "reuseguard.run", "requester",
+         "--directory", _closed_port_address(), "--account", "user@example.com",
+         "--t-goal", t_goal, "--password", "hunter2"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from reuseguard import elgamal, netnodes, planner, protocol, similarity, wire
-from reuseguard.directory import MAX_FANOUT, Directory, ResponderEndpoint
+from reuseguard.directory import MAX_FANOUT, AuditVerdict, Directory, ResponderEndpoint
 from reuseguard.errors import (
     ConsentRequiredError,
     FrameError,
@@ -600,6 +600,161 @@ def test_audit_request_is_the_address_alone(small_deployment, monkeypatch):
     client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(13))
     assert client.audit(servers[0].address) == "honest"
     assert sent == [(wire.OP_AUDIT, wire.encode_text(servers[0].address))]
+
+
+def _record_audit_builds(monkeypatch, gate=None):
+    """Every audit query any directory builds from now on, in build order.
+    With ``gate``, each build first calls ``gate()``."""
+    built = []
+    build = Directory.build_audit_query
+
+    def recording(self, rng=None):
+        if gate is not None:
+            gate()
+        query, keypair = build(self, rng)
+        built.append(query)
+        return query, keypair
+
+    monkeypatch.setattr(Directory, "build_audit_query", recording)
+    return built
+
+
+def _record_queried_keys(monkeypatch):
+    """The public key of every query a responder answers from now on."""
+    keys = []
+    answer = netnodes.answer_query
+
+    def recording(store, payload, rng=None):
+        keys.append(wire.decode_query(payload).pk)
+        return answer(store, payload, rng)
+
+    monkeypatch.setattr(netnodes, "answer_query", recording)
+    return keys
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_second_audit_sends_the_query_built_after_the_first_reply(small_deployment,
+                                                                  monkeypatch):
+    dserver, servers = small_deployment
+    built = _record_audit_builds(monkeypatch)
+    keys = _record_queried_keys(monkeypatch)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(14))
+    assert client.audit(servers[0].address) == "honest"
+    # The next audit is built with no audit asked for: after the first reply.
+    assert _wait_until(lambda: len(built) == 2), built
+    assert client.audit(servers[0].address) == "honest"
+    assert keys == [built[0].pk, built[1].pk]
+    assert _wait_until(lambda: len(built) == 3)  # and the third after the second
+
+
+def test_audit_verdict_arrives_while_the_next_audit_is_still_building(small_deployment,
+                                                                      monkeypatch):
+    dserver, servers = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, timeout=5.0,
+                             rng=random.Random(15))
+    built = _record_audit_builds(monkeypatch)
+    assert client.audit(servers[0].address) == "honest"
+    assert _wait_until(lambda: len(built) == 2)  # the next audit is held
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked():
+        entered.set()
+        release.wait(10.0)
+
+    built = _record_audit_builds(monkeypatch, gate=blocked)
+    try:
+        # Every build now blocks until the verdict is in, so this audit's
+        # round trip holds none.
+        assert client.audit(servers[0].address) == "honest"
+        assert entered.wait(5.0)  # the build after it started, and waits
+        assert not built
+    finally:
+        release.set()
+    assert _wait_until(lambda: len(built) == 1)
+
+
+def test_a_prepared_audit_serves_one_audit():
+    keys, lock = [], threading.Lock()
+    start = threading.Barrier(4)
+
+    def transport(endpoint, query, timeout):
+        with lock:
+            keys.append(query.pk.point)
+        time.sleep(0.05)  # the four audits overlap
+        return protocol.respond(query, similarity.SimilarSet(query.account_id, (), 0, 0),
+                                random.Random(16))
+
+    directory = Directory(transport, rng=random.Random(17))
+    directory.prepare_audit()
+    verdicts = []
+
+    def audit():
+        start.wait()
+        verdicts.append(directory.audit_responder(ResponderEndpoint("r:1")))
+
+    threads = [threading.Thread(target=audit) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert verdicts == [AuditVerdict.HONEST] * 4
+    assert len(keys) == 4 and len(set(keys)) == 4
+
+
+def test_preparing_an_audit_draws_nothing_from_the_directory_rng(monkeypatch):
+    monkeypatch.setattr(secrets, "token_hex", lambda n: "ab" * n)
+
+    def run(prepare):
+        rng = random.Random(18)
+        directory = Directory(lambda endpoint, query, timeout: endpoint.address, rng=rng)
+        for i in range(4):
+            directory.register(ACCOUNT, ResponderEndpoint(f"r:{i}"))
+        if prepare:
+            state = rng.getstate()
+            directory.prepare_audit()
+            assert rng.getstate() == state
+        directory.confirm_consent(directory.begin_consent(ACCOUNT))
+        replies = directory.fanout(wire.RawQuery(ACCOUNT, P192, b""), 4)
+        own, _ = directory.build_audit_query()
+        seeded, _ = directory.build_audit_query(random.Random(33))
+        return (sorted(replies), rng.getstate(), wire.encode_query(own),
+                hashlib.sha256(wire.encode_query(seeded)).hexdigest())
+
+    prepared = run(True)
+    assert prepared == run(False)
+    assert prepared[3] == PINNED_AUDIT_QUERY_DIGEST
+
+
+def test_a_directory_that_never_audits_builds_no_audit(small_deployment, monkeypatch):
+    dserver, _ = small_deployment
+    built = _record_audit_builds(monkeypatch)
+    replied = []
+    after_reply = dserver.after_reply
+
+    def counting(opcode):
+        after_reply(opcode)
+        replied.append(opcode)
+
+    monkeypatch.setattr(dserver, "after_reply", counting)
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(19))
+    client.confirm_consent(client.begin_consent(ACCOUNT))
+    result = requester_set_password(client, ACCOUNT, "completely-different-9941", 0.05,
+                                    hash_params=CHEAP, register_endpoint="new:1",
+                                    rng=random.Random(3))
+    assert result.accepted
+    assert client.deregister(ACCOUNT, "new:1")[0]
+    # consent twice, negotiate, query, register, deregister
+    assert _wait_until(lambda: len(replied) == 6), replied
+    assert wire.OP_AUDIT not in replied
+    assert built == []
 
 
 def test_directory_answers_an_older_clients_requests_as_malformed(small_deployment):
