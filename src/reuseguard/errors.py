@@ -9,12 +9,12 @@ class UnsupportedGroupError(ReuseGuardError):
     """Requested group descriptor is not one of the supported groups."""
 
 
-class NotOnCurveError(ReuseGuardError):
-    """A byte string does not decode to a valid group element."""
-
-
 class InvalidCiphertextError(ReuseGuardError):
     """A received ciphertext failed validation against the public key."""
+
+
+class NotOnCurveError(InvalidCiphertextError):
+    """A byte string does not decode to a valid group element."""
 
 
 class ConsentRequiredError(ReuseGuardError):

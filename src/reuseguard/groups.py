@@ -337,11 +337,18 @@ class EllipticCurveGroup:
 
     def product(self, elements: Sequence[Point]) -> Point:
         """Group product of a sequence, accumulated without normalizing."""
-        acc = _JAC_INFINITY
-        p = self.p
+        acc = self.sum_start
         for e in elements:
-            acc = _jac_add_affine(acc, e, p)
-        return _batch_to_affine([acc], p)[0]
+            acc = self.sum_add(acc, e)
+        return self.sum_finish([acc])[0]
+
+    sum_start = _JAC_INFINITY  # running products are Jacobian, normalized at the end
+
+    def sum_add(self, acc, e: Point):
+        return _jac_add_affine(acc, e, self.p)
+
+    def sum_finish(self, accs) -> list:
+        return _batch_to_affine(accs, self.p)
 
     def generator_table(self) -> FixedBaseTable:
         """The generator's comb, built once per process."""
@@ -471,6 +478,8 @@ class EnumerableGroup:
 
     def product(self, elements: Sequence[int]) -> int:
         return sum(elements) % self.order
+
+    sum_start, sum_add, sum_finish = 0, mul, staticmethod(list)  # nothing to normalize
 
     def random_scalar(self, rng=None) -> int:
         return (rng or _SYSTEM_RNG).randrange(self.order)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import bloom, planner, protocol, similarity, wire
+from . import bloom, elgamal, planner, protocol, similarity, wire
 from .directory import Directory, ResponderEndpoint, canonicalize
 from .errors import (
     ConsentRequiredError,
@@ -79,8 +79,8 @@ class DecoyPolicy:
 
     A decoy query is built as a real run's is (fresh key pair, seed and
     slots) but indexes a Bloom item drawn from the run's rng instead of a
-    password's slow hash (``protocol.build_decoy_query``); its verdict is
-    not read.  Run 1's scrypt wait fills the process's spare decoy, which
+    password's slow hash (``protocol.build_decoy_query``); its replies are
+    not decrypted.  Run 1's scrypt wait fills the process's spare decoy, which
     only a flow's first decoy takes: it starts one small comb batch plus
     what the spare lacks after the verdict, not one whole build.  Only in
     a process that runs many flows do earlier waits complete the spare.
@@ -147,18 +147,17 @@ class ResponderStore:
 def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, bytes]:
     """A responder's whole job on one query payload: the reply's opcode and body.
 
-    An account the store does not hold is answered against an empty set.  A
-    query that does not decode or validate gets ``ERR_INVALID_CIPHERTEXT``
-    padded to the success size of the query's curve (P192 when even the
-    header does not parse), so its length gives nothing away.
+    One pass: J_S from the header (empty for an account the store does not
+    hold), then one walk of the slot bytes into ``protocol.blinded_sum``.  A
+    query that does not decode gets ``ERR_INVALID_CIPHERTEXT`` padded to the
+    success size of its curve (P192 when even the header does not parse).
     """
     group = P192
     try:
-        group = wire.parse_query_header(payload).group
-        query = wire.decode_query(payload)
-        similar = store.get(query.account_id) or similarity.SimilarSet(
-            query.account_id, (), 0, 0)
-        response = protocol.respond(query, similar, rng)
+        account, group, pk_bytes, params, at = wire.read_query_header(payload)
+        j_s = protocol.responder_index_set(params, store.get(account))
+        response = protocol.blinded_sum(elgamal.PublicKey(group, group.decompress(pk_bytes)),
+                                        wire.decode_slots(group, payload, at), j_s, rng)
     except (InvalidCiphertextError, FrameError):
         return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group)
     return wire.OP_RESPONSE, wire.encode_response(response, group)
@@ -503,9 +502,9 @@ def requester_set_password(client: DirectoryClient, account: str,
     similar one.  On acceptance, executes the decoy policy (total runs
     for the episode reach at least ``min_runs``, plus one extra run with
     the configured probability) and registers ``register_endpoint`` for
-    the account when given.  Only the first run hashes: each decoy query
-    indexes a Bloom item drawn from ``rng``.  With decoys enabled, the
-    first run's scrypt wait fills the process's spare decoy, reject or
+    the account when given.  Only the first run hashes and decrypts: each
+    decoy query indexes a Bloom item drawn from ``rng``.  With decoys on,
+    the first run's scrypt wait fills the process's spare decoy, reject or
     accept, and the flow's first decoy takes it as far as this and
     earlier flows' waits built it.  Raises NoResponseError when a run,
     decoys included, collects no reply at all.
@@ -522,26 +521,25 @@ def requester_set_password(client: DirectoryClient, account: str,
         model = planner.REFERENCE_MODELS[client.profile.name]
     plan = planner.optimize(t_goal, r_a, d, model, planner.DEFAULT_REUSE_CURVE)
 
-    def one_run(query: protocol.QueryMessage,
-                session: protocol.RequesterSession) -> Tuple[int, int]:
+    def send(query: protocol.QueryMessage) -> List[protocol.ResponseMessage]:
         responses = client.query(query, plan.rho)
         if not responses:
             # Fail closed: no reply is no verdict, not an acceptance.
             raise NoResponseError(
                 f"none of the {plan.rho} chosen responders answered")
-        hits = sum(1 for r in responses if protocol.decode_result(session, r))
-        return hits, len(responses)
+        return responses
 
     def decoy_run() -> None:
-        one_run(*protocol.build_decoy_query(canonical, plan.n, group=group, k=k,
-                                            rng=rng))
+        send(protocol.build_decoy_query(canonical, plan.n, group=group, k=k, rng=rng)[0])
 
-    detections, received = one_run(*protocol.build_query(
+    query, session = protocol.build_query(
         canonical, password, plan.n, group=group, k=k, hash_params=hash_params, rng=rng,
-        fill_spare=policy.enabled))
+        fill_spare=policy.enabled)
+    responses = send(query)
+    detections = sum(1 for r in responses if protocol.decode_result(session, r))
     runs = 1
     if detections:
-        return SetPasswordResult(False, detections, received, runs, plan)
+        return SetPasswordResult(False, detections, len(responses), runs, plan)
     if policy.enabled:
         while runs < policy.min_runs:
             decoy_run()
@@ -551,4 +549,4 @@ def requester_set_password(client: DirectoryClient, account: str,
             runs += 1
     if register_endpoint is not None:
         client.register(canonical, register_endpoint)
-    return SetPasswordResult(True, 0, received, runs, plan)
+    return SetPasswordResult(True, 0, len(responses), runs, plan)

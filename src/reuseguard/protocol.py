@@ -21,7 +21,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bloom, elgamal, similarity
 from .errors import InvalidCiphertextError
@@ -231,47 +231,49 @@ def validate_query(query: QueryMessage) -> None:
 def blinded_complement_product(query: QueryMessage,
                                responder_indices: Iterable[int],
                                rng=None) -> ResponseMessage:
-    """Blinded product of the slots outside the responder's index set.
+    """``blinded_sum`` over an in-process query's slots; validates nothing."""
+    return blinded_sum(query.pk, query.ciphertexts, frozenset(responder_indices), rng)
 
-    The homomorphic product over the complement is accumulated
-    component-wise and then raised to a fresh exponent from Z*_r with one
-    final rerandomization, leaving the result uniform within its
-    ciphertext class.  An empty complement degenerates to a fresh
-    encryption of the identity.
 
-    Every slot is added into one of two products, inside J_S or outside
-    it, so the responder does ℓ additions per component whatever |J_S| is
-    and their count does not time its set.  Only the product outside J_S
-    is used.
+def blinded_sum(pk: elgamal.PublicKey, slots: Iterable[elgamal.Ciphertext],
+                j_s: AbstractSet[int], rng=None) -> ResponseMessage:
+    """The product of the slots outside J_S, raised to a fresh exponent from
+    Z*_r and rerandomized once (``elgamal.hexp``): uniform in its class.
+
+    Every slot is added, component-wise, into the product inside J_S or
+    the one outside it, so the ℓ additions per component do not time J_S.
     """
-    rng = rng or _SYSTEM_RNG
-    pk = query.pk
     group = pk.group
-    j_s = set(responder_indices)
-    outside, inside = [], []
-    for j, c in enumerate(query.ciphertexts):
-        (inside if j in j_s else outside).append(c)
-    product, _ = [elgamal.Ciphertext(group.product([c.ephemeral for c in side]),
-                                     group.product([c.body for c in side]))
-                  for side in (outside, inside)]
-    nu = rng.randrange(1, group.order)  # Z*_r: zero excluded
-    result = elgamal.hexp(pk, product, nu, rng)
-    return ResponseMessage(result)
+    sums = [group.sum_start] * 4  # C1 and C2 outside J_S, then inside
+    for j, (c1, c2) in enumerate(slots):
+        side = 2 if j in j_s else 0
+        sums[side] = group.sum_add(sums[side], c1)
+        sums[side + 1] = group.sum_add(sums[side + 1], c2)
+    outside = elgamal.Ciphertext(*group.sum_finish(sums)[:2])
+    nu = (rng or _SYSTEM_RNG).randrange(1, group.order)  # Z*_r: zero excluded
+    return ResponseMessage(elgamal.hexp(pk, outside, nu, rng))
+
+
+def responder_index_set(params: bloom.BloomParams,
+                        similar: Optional[similarity.SimilarSet]) -> FrozenSet[int]:
+    """J_S: the Bloom indices of the stored entries (none without a set),
+    truncated to the filter's capacity in stored (priority) order.  Fixed
+    padding items, whose indices are dropped, make every query hash
+    capacity items, so the hashing does not time the set's size."""
+    cap = bloom.capacity(params.length_ell, params.num_hashes_k)
+    entries = similar.entries[:cap] if similar is not None else ()
+    bloom.index_union(params, [bytes(similarity.DIGEST_BYTES)] * (cap - len(entries)))
+    return bloom.index_union(params, entries)
 
 
 def respond(query: QueryMessage, similar: similarity.SimilarSet,
             rng=None) -> ResponseMessage:
-    """Responder side of one run; tolerates adversarial queries.
-
-    Raises InvalidCiphertextError when any inbound ciphertext fails
-    validation.  The similar set is truncated to the filter's capacity in
-    stored (priority) order before its index set is formed.
-    """
+    """Responder side of one run on an in-process query; tolerates
+    adversarial queries.  Raises InvalidCiphertextError when any inbound
+    ciphertext fails validation."""
     validate_query(query)
-    cap = bloom.capacity(query.bloom.length_ell, query.bloom.num_hashes_k)
-    entries = similar.entries[:cap]
-    j_s = bloom.index_union(query.bloom, entries)
-    return blinded_complement_product(query, j_s, rng)
+    return blinded_complement_product(
+        query, responder_index_set(query.bloom, similar), rng)
 
 
 def decode_result(session: RequesterSession, response: ResponseMessage) -> bool:

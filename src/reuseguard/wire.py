@@ -13,28 +13,29 @@ Query payload, a header followed by the slots:
 A compressed point is one parity byte (0x02 even / 0x03 odd / 0x00 for
 the identity) followed by the big-endian x coordinate at field size.
 
-Query decoding is split in two.  ``parse_query_header`` reads the header,
+Query decoding is split in two.  ``read_query_header`` reads the header,
 checks that the payload is exactly as long as the header says, and
-decompresses no point: the directory routes on the ``RawQuery`` it returns
-and relays the payload bytes unchanged.  ``decode_query`` parses the same
-header and then decodes every slot; responders use it.  A response
-payload is one ciphertext, so the directory relays it after a size check
-against ``response_payload_size`` and only the requester decodes it.
+decompresses no point: the directory routes on its ``RawQuery`` view
+(``parse_query_header``) and relays the payload bytes unchanged.  A
+responder walks the slots once (``decode_slots``); ``decode_query``
+collects that walk into a ``QueryMessage``.  A response payload is one
+ciphertext, so the directory relays it after a size check against
+``response_payload_size`` and only the requester decodes it.
 
 Every decoder raises ``FrameError`` on bytes that do not parse (including
-text fields that are not UTF-8) and ``InvalidCiphertextError`` on a point
-that is not on the curve.  ``encode_error`` pads an error payload to the
-exact size of a success response payload on the given curve, so a failure
-is not distinguishable by length.
+text fields that are not UTF-8) and ``NotOnCurveError``, an
+``InvalidCiphertextError``, on a point not on the curve.  ``encode_error``
+pads an error payload to the exact size of a success response payload on
+the given curve, so a failure is not distinguishable by length.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from . import bloom, elgamal, protocol
-from .errors import FrameError, InvalidCiphertextError, NotOnCurveError
+from .errors import FrameError
 from .groups import CURVES
 
 MAGIC = b"PM"
@@ -173,11 +174,10 @@ class RawQuery(NamedTuple):
     payload: bytes
 
 
-def _parse_header(payload: bytes):
-    """Header fields plus a cursor at the first slot; no point is decoded.
-
-    Raises FrameError unless the slots exactly fill the rest of the payload.
-    """
+def read_query_header(payload: bytes):
+    """(account, group, pk bytes, Bloom params, offset of the first slot);
+    no point is decoded.  Raises FrameError unless the slots exactly fill
+    the rest of the payload."""
     cur = _Cursor(payload)
     account = cur.text()
     curve_id = cur.u8()
@@ -195,31 +195,28 @@ def _parse_header(payload: bytes):
         params = bloom.BloomParams(ell, k, seed)
     except ValueError as exc:
         raise FrameError(str(exc)) from exc
-    return account, group, pk_bytes, params, cur
+    return account, group, pk_bytes, params, cur.off
 
 
 def parse_query_header(payload: bytes) -> RawQuery:
-    """The routing view of a query payload; no slot is decoded."""
-    account, group, _, _, _ = _parse_header(payload)
+    """The routing view of a query payload; no point is decoded."""
+    account, group, _, _, _ = read_query_header(payload)
     return RawQuery(account, group, payload)
 
 
+def decode_slots(group, payload: bytes, start: int = 0) -> Iterator[elgamal.Ciphertext]:
+    """Each ciphertext from offset ``start`` on, its two points decoded and
+    validated by ``group.decompress`` as it is read."""
+    n = group.field_bytes + 1
+    for at in range(start, len(payload), 2 * n):
+        yield elgamal.Ciphertext(group.decompress(payload[at:at + n]),
+                                 group.decompress(payload[at + n:at + 2 * n]))
+
+
 def decode_query(payload: bytes) -> protocol.QueryMessage:
-    account, group, pk_bytes, params, cur = _parse_header(payload)
-    point_len = group.field_bytes + 1
-    ciphertexts = []
-    try:
-        pk_point = group.decompress(pk_bytes)
-        for _ in range(params.length_ell):
-            ephemeral = group.decompress(cur.take(point_len))
-            body = group.decompress(cur.take(point_len))
-            ciphertexts.append(elgamal.Ciphertext(ephemeral, body))
-    except NotOnCurveError as exc:
-        raise InvalidCiphertextError(str(exc)) from exc
-    cur.done()
-    return protocol.QueryMessage(
-        account, elgamal.PublicKey(group, pk_point), params, tuple(ciphertexts)
-    )
+    account, group, pk_bytes, params, at = read_query_header(payload)
+    return protocol.QueryMessage(account, elgamal.PublicKey(group, group.decompress(pk_bytes)),
+                                 params, tuple(decode_slots(group, payload, at)))
 
 
 def response_payload_size(group) -> int:
@@ -234,13 +231,7 @@ def encode_response(response: protocol.ResponseMessage, group) -> bytes:
 def decode_response(payload: bytes, group) -> protocol.ResponseMessage:
     if len(payload) != response_payload_size(group):
         raise FrameError("bad response payload size")
-    point_len = group.field_bytes + 1
-    try:
-        ephemeral = group.decompress(payload[:point_len])
-        body = group.decompress(payload[point_len:])
-    except NotOnCurveError as exc:
-        raise InvalidCiphertextError(str(exc)) from exc
-    return protocol.ResponseMessage(elgamal.Ciphertext(ephemeral, body))
+    return protocol.ResponseMessage(next(decode_slots(group, payload)))
 
 
 def encode_error(code: int, group) -> bytes:

@@ -211,6 +211,78 @@ def test_seeded_answer_keeps_its_bytes(group):
     assert hashlib.sha256(body).hexdigest() == PINNED_REPLY_DIGESTS[group.name]
 
 
+def _slot_at(payload, j):
+    """The offset of slot j's first point in a query payload."""
+    _, group, _, _, first = wire.read_query_header(payload)
+    return first + j * 2 * (group.field_bytes + 1)
+
+
+def _inside_and_outside(query, similar):
+    """One slot index inside the responder's J_S and one outside it."""
+    j_s = protocol.responder_index_set(query.bloom, similar)
+    return min(j_s), min(set(range(query.bloom.length_ell)) - j_s)
+
+
+@pytest.mark.parametrize("group", [P192, P224, P256], ids=lambda g: g.name)
+@pytest.mark.parametrize("case", ["stored", "fresh", "identity slots", "no set"])
+def test_one_pass_answer_equals_decode_then_respond(group, case):
+    store = ResponderStore()
+    store.add(similarity.build_similar_set(ACCOUNT, "hunter2", 1, 4, CHEAP))
+    account = "stranger@example.com" if case == "no set" else ACCOUNT
+    password = "fresh-password-7" if case == "fresh" else "hunter2"
+    query, _ = protocol.build_query(account, password, 4, group=group,
+                                    hash_params=CHEAP, rng=random.Random(41))
+    similar = store.get(account)
+    if case == "identity slots":
+        slots = list(query.ciphertexts)
+        for j in _inside_and_outside(query, similar):
+            slots[j] = elgamal.Ciphertext(None, None)
+        query = protocol.QueryMessage(query.account_id, query.pk, query.bloom, tuple(slots))
+    payload = wire.encode_query(query)
+    if case == "identity slots":
+        for j in _inside_and_outside(query, similar):
+            assert payload[_slot_at(payload, j)] == 0x00
+    reference = wire.encode_response(protocol.respond(
+        wire.decode_query(payload), similar or similarity.SimilarSet(account, (), 0, 0),
+        random.Random(42)), group)
+    assert answer_query(store, payload, random.Random(42)) == (wire.OP_RESPONSE, reference)
+
+
+@pytest.mark.parametrize("group", [P192, P256], ids=lambda g: g.name)
+def test_a_bad_point_inside_or_outside_j_s_gets_the_same_error(group):
+    store = ResponderStore()
+    store.add(similarity.build_similar_set(ACCOUNT, "hunter2", 1, 4, CHEAP))
+    query, _ = protocol.build_query(ACCOUNT, "hunter2", 4, group=group,
+                                    hash_params=CHEAP, rng=random.Random(43))
+    payload = wire.encode_query(query)
+    bad = _off_curve_point(group)
+    replies = []
+    for j in _inside_and_outside(query, store.get(ACCOUNT)):
+        for point in (0, 1):  # the slot's ephemeral, then its body
+            at = _slot_at(payload, j) + point * len(bad)
+            tampered = payload[:at] + bad + payload[at + len(bad):]
+            replies.append(answer_query(store, tampered, random.Random(44)))
+    error = (wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group))
+    assert replies == [error] * 4
+
+
+def test_answer_query_neither_decodes_nor_validates_a_whole_query(monkeypatch):
+    store = ResponderStore()
+    store.add(similarity.build_similar_set(ACCOUNT, "hunter2", 1, 4, CHEAP))
+    query, session = protocol.build_query(ACCOUNT, "hunter2", 4, group=P192,
+                                          hash_params=CHEAP, rng=random.Random(45))
+    payload = wire.encode_query(query)
+
+    def refuse(*args):
+        raise AssertionError("the daemon path built or validated a QueryMessage")
+
+    monkeypatch.setattr(wire, "decode_query", refuse)
+    monkeypatch.setattr(protocol, "validate_query", refuse)
+    opcode, body = answer_query(store, payload)
+    assert opcode == wire.OP_RESPONSE
+    assert protocol.decode_result(session, wire.decode_response(body, P192)) is True
+
+
 def test_seeded_audit_query_keeps_its_bytes(monkeypatch):
     monkeypatch.setattr(secrets, "token_hex", lambda n: "ab" * n)
     query, _ = Directory().build_audit_query(random.Random(33))
@@ -502,6 +574,23 @@ def test_decoy_runs_hash_nothing(small_deployment, monkeypatch, extra):
     assert hashed == ["fresh-pw-decoys"]
 
 
+def test_decoy_replies_are_not_decrypted(small_deployment, monkeypatch):
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(6))
+    client.confirm_consent(client.begin_consent(ACCOUNT))
+    decrypted = []
+    decode_result = protocol.decode_result
+    monkeypatch.setattr(protocol, "decode_result", lambda session, response:
+                        decrypted.append(session) or decode_result(session, response))
+    result = requester_set_password(
+        client, ACCOUNT, "fresh-pw-undecrypted", 0.015,
+        DecoyPolicy(enabled=True, min_runs=2, extra_run_probability=1.0),
+        hash_params=CHEAP, rng=random.Random(7))
+    assert result.accepted and result.runs == 3
+    assert len(decrypted) == result.responses_received >= 1
+    assert len(set(map(id, decrypted))) == 1  # run 1's session alone
+
+
 def test_a_decoy_uses_the_spare_an_earlier_scrypt_wait_built(small_deployment, monkeypatch):
     dserver, _ = small_deployment
     client = DirectoryClient(dserver.address, TRUSTED_PROFILE,
@@ -789,17 +878,19 @@ def test_inprocess_transport_matches_tcp_semantics():
 
 # -- opaque relay and byte-level failures ----------------------------------------
 
-def _off_curve_payload(query):
-    """The query's payload with its last point replaced by an x off its curve."""
-    group = query.pk.group
-    payload = bytearray(wire.encode_query(query))
+def _off_curve_point(group):
+    """A compressed point whose x is off ``group``'s curve."""
     for x in range(2, 300):
         rhs = (x * x * x + group.a * x + group.b) % group.p
         if pow(rhs, (group.p - 1) // 2, group.p) != 1:
-            payload[-(group.field_bytes + 1):] = (
-                bytes([0x02]) + x.to_bytes(group.field_bytes, "big"))
-            return bytes(payload)
+            return bytes([0x02]) + x.to_bytes(group.field_bytes, "big")
     raise AssertionError("no off-curve x found")
+
+
+def _off_curve_payload(query):
+    """The query's payload with its last point replaced by an x off its curve."""
+    group = query.pk.group
+    return wire.encode_query(query)[:-(group.field_bytes + 1)] + _off_curve_point(group)
 
 
 def _non_utf8_account_payload():

@@ -420,6 +420,29 @@ def test_responses_to_same_query_are_distinct(rng):
     assert respond(query, similar, rng) != respond(query, similar, rng)
 
 
+@pytest.mark.parametrize("stored", ["no set", 0, 1, "capacity", "capacity + 3"])
+def test_responder_hashes_capacity_items_whatever_its_set(monkeypatch, tg101, stored):
+    # n = 4 gives capacity 4, so every size here is distinct.
+    query, _ = build_query(ACCOUNT, "pw", 4, group=tg101, hash_params=CHEAP,
+                           rng=random.Random(3))
+    cap = bloom.capacity(query.bloom.length_ell, query.bloom.num_hashes_k)
+    size = {"no set": 0, "capacity": cap, "capacity + 3": cap + 3}.get(stored, stored)
+    entries = [similarity.bloom_item(f"pw-{i}", ACCOUNT, CHEAP) for i in range(size)]
+    similar = (None if stored == "no set"
+               else similarity.SimilarSet(ACCOUNT, tuple(entries), 0, max(size, 1)))
+    expected = bloom.index_union(query.bloom, entries[:cap])
+    hashed = []
+    indices = bloom.indices
+    monkeypatch.setattr(bloom, "indices",
+                        lambda params, item: hashed.append(item) or indices(params, item))
+    assert protocol.responder_index_set(query.bloom, similar) == expected
+    assert len(hashed) == cap
+    if similar is not None:
+        hashed.clear()
+        respond(query, similar, random.Random(4))
+        assert len(hashed) == cap
+
+
 def test_truncation_respects_capacity_and_priority_order(rng, tg101):
     # 60 entries against a filter sized for 4: only the first
     # capacity(ell, k) stored entries may contribute indices.
