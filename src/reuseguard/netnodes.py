@@ -1,17 +1,20 @@
 """Network roles: responder service, directory daemon, requester client.
 
 Transport is length-prefixed frames over TCP, one request and one reply
-per connection.  Anonymity of the deployment models is emulated, not
-implemented: a latency profile stands in for the relay chain (one sub-ms
-hop when the directory is trusted to hide identities, three slower hops
-when it is not), and the directory's response permutation hides which
-responder said what.  Response frames carry no responder identifier and
+per connection, served on reused handler threads, at most ``MAX_HANDLERS``
+per daemon; a connection that finds them all busy gets a padded
+``ERR_INTERNAL`` frame at once.  Anonymity of the deployment models is
+emulated, not implemented: a latency profile stands in for the relay
+chain (one sub-ms hop when the directory is trusted to hide identities,
+three slower hops when it is not), and the directory's response
+permutation hides which responder said what.  Response frames carry no responder identifier and
 query frames no requester identifier.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import random
 import socket
 import socketserver
@@ -212,15 +215,75 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         self.server.after_reply(opcode)
 
 
-class _FrameServer(socketserver.ThreadingTCPServer):
+# Most connections one daemon serves at once, each on its own handler
+# thread.  Beyond it a connection is refused, not queued.
+MAX_HANDLERS = 64
+
+
+class _FrameServer(socketserver.TCPServer):
     """One frame in, one frame out per connection; subclasses define
-    ``dispatch(opcode, payload) -> (opcode, payload)``."""
+    ``dispatch(opcode, payload) -> (opcode, payload)``.
+
+    The serving thread hands each accepted connection to an idle handler
+    thread, or starts one when none is idle and fewer than ``MAX_HANDLERS``
+    run.  Otherwise it sends the connection a padded ``ERR_INTERNAL`` frame
+    itself and closes it.  A handler serves one connection at a time, runs
+    ``after_reply`` and then waits idle for the next.  None starts before the
+    first connection, none delays the process's exit, and ``server_close``
+    stops the idle ones; a busy one stops when its connection is done.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, listen_addr: Tuple[str, int]):
+        self._lock = threading.Lock()  # set first: a failed bind calls server_close
+        self._handoff = queue.SimpleQueue()  # (request, address), or (None, None): stop
+        self._handlers = 0  # started, counted under _lock with _idle and _closed
+        self._idle = 0
+        self._closed = False
         super().__init__(listen_addr, _FrameHandler)
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            if self._idle:  # each connection put is one idle handler's
+                self._idle -= 1
+                self._handoff.put((request, client_address))
+                return
+            busy = self._handlers >= MAX_HANDLERS
+            if not busy:
+                self._handlers += 1
+        if busy:
+            try:
+                request.sendall(wire.encode_frame(
+                    wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, P192)))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+        else:
+            threading.Thread(target=self._handle_until_closed,
+                             args=(request, client_address), daemon=True).start()
+
+    def _handle_until_closed(self, request, client_address) -> None:
+        while request is not None:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            request, client_address = self._handoff.get()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put((None, None))
 
     @property
     def address(self) -> str:
@@ -284,7 +347,10 @@ def _responder_transport(send, profile: Optional[LatencyProfile], rng):
     body.  A ``wire.RawQuery`` (a relayed query) goes out as its payload
     bytes and comes back as the reply's bytes, checked for size only.  A
     ``protocol.QueryMessage`` (an audit) is encoded, and its reply decoded.
-    An error reply raises ``InvalidCiphertextError``.
+    An ``ERR_INVALID_CIPHERTEXT`` reply raises ``InvalidCiphertextError``;
+    any other error reply, such as a busy responder's ``ERR_INTERNAL``,
+    raises ``TransportError``, so ``Directory.fanout`` does not count it as
+    a rejection.
     """
 
     def transport(endpoint: ResponderEndpoint, query, timeout: float):
@@ -295,7 +361,10 @@ def _responder_transport(send, profile: Optional[LatencyProfile], rng):
         opcode, body = send(endpoint, payload, timeout)
         inject_latency(profile, rng)
         if opcode == wire.OP_ERROR:
-            raise InvalidCiphertextError(f"responder error {wire.decode_error(body)}")
+            code = wire.decode_error(body)
+            if code == wire.ERR_INVALID_CIPHERTEXT:
+                raise InvalidCiphertextError("responder rejected the query")
+            raise TransportError(f"responder error {code}")
         if opcode != wire.OP_RESPONSE:
             raise TransportError(f"unexpected opcode {opcode}")
         if not relay:

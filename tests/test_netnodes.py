@@ -312,10 +312,13 @@ def test_responder_error_frame_same_size_as_response(responder_server):
 
 def test_responder_survives_garbage_and_wrong_opcode(responder_server):
     host, port = responder_server.server_address[:2]
+    # The daemon answers after reading the 8-byte header and closes with 10
+    # bytes unread, so this socket may be reset by the time the reply is
+    # read: it sends nothing after the garbage.
     with socket.create_connection((host, port), timeout=5) as sock:
         sock.sendall(b"not a frame at all")
-        sock.shutdown(socket.SHUT_WR)
-        sock.recv(4096)
+        with sock.makefile("rb") as reader:
+            _assert_padded_error(wire.read_frame(reader.read), wire.ERR_MALFORMED)
     from reuseguard.netnodes import tcp_request
     opcode, _ = tcp_request(responder_server.address, wire.OP_ACK, b"", 5.0)
     assert opcode == wire.OP_ERROR
@@ -1263,3 +1266,100 @@ def test_trickling_connection_times_out_on_the_directory(small_deployment, monke
         dserver.address, wire.encode_frame(wire.OP_NEGOTIATE, wire.encode_text(ACCOUNT)))
     _assert_padded_error(reply, wire.ERR_MALFORMED)
     assert elapsed < 1.0
+
+
+# -- handler threads: reused, capped, stopped ------------------------------------
+
+@pytest.fixture(params=["responder", "directory"])
+def daemon(request):
+    """A daemon and a check that sends it one real request and asserts the
+    answer; the directory's consent window is open before the test starts."""
+    if request.param == "responder":
+        server = request.getfixturevalue("responder_server")
+        query, session = protocol.build_query(ACCOUNT, "hunter2", 1, group=P192,
+                                              hash_params=CHEAP)
+        transport = make_tcp_responder_transport()
+
+        def ask():
+            response = transport(ResponderEndpoint(server.address), query, 5.0)
+            assert protocol.decode_result(session, response) is True
+    else:
+        server, _ = request.getfixturevalue("small_deployment")
+        server.directory.confirm_consent(server.directory.begin_consent(ACCOUNT))
+        client = DirectoryClient(server.address, TRUSTED_PROFILE, rng=random.Random(24))
+        query, session = protocol.build_query(ACCOUNT, "hunter2", 1, group=P192,
+                                              hash_params=CHEAP)
+
+        def ask():
+            responses = client.query(query, 2)
+            assert [protocol.decode_result(session, r) for r in responses] == [True] * 2
+    return server, ask
+
+
+def _wait_for_idle_handlers(server, count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while server._idle != count:
+        assert time.monotonic() < deadline, "handlers did not go idle"
+        time.sleep(0.01)
+
+
+def test_a_connection_over_the_cap_is_refused_at_once(daemon, monkeypatch):
+    server, ask = daemon
+    monkeypatch.setattr(netnodes, "MAX_HANDLERS", 2)
+    host, port = server.server_address[:2]
+    held = [socket.create_connection((host, port), timeout=5.0) for _ in range(2)]
+    try:
+        start = time.monotonic()
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            with sock.makefile("rb") as reader:
+                reply = wire.read_frame(reader.read)
+        assert time.monotonic() - start < 1.0 < netnodes.IDLE_TIMEOUT_S
+        _assert_padded_error(reply, wire.ERR_INTERNAL)
+    finally:
+        for sock in held:
+            sock.close()
+    _wait_for_idle_handlers(server, 2)
+    ask()
+
+
+def test_sequential_requests_reuse_handler_threads_and_close_stops_them(daemon,
+                                                                        monkeypatch):
+    server, ask = daemon
+    handlers = set()
+    dispatch = server.dispatch
+
+    def recording(opcode, payload):
+        handlers.add(threading.current_thread())
+        return dispatch(opcode, payload)
+
+    monkeypatch.setattr(server, "dispatch", recording)
+    for _ in range(20):
+        ask()
+    assert 1 <= len(handlers) <= 2  # not idents: the OS reuses those of ended threads
+    server.shutdown()
+    server.server_close()
+    for thread in handlers:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+class _BusyResponder(netnodes._FrameServer):
+    """Answers every query as a responder with no free handler does."""
+
+    def dispatch(self, opcode, payload):
+        return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, P192)
+
+
+def test_a_busy_responder_is_not_a_rejection():
+    busy = [_BusyResponder(("127.0.0.1", 0)).serve_in_background() for _ in range(2)]
+    directory = Directory(make_tcp_responder_transport(), rng=random.Random(25))
+    for server in busy:
+        directory.register(ACCOUNT, ResponderEndpoint(server.address))
+    directory.confirm_consent(directory.begin_consent(ACCOUNT))
+    query, _ = protocol.build_query(ACCOUNT, "pw", 2, group=P192, hash_params=CHEAP)
+    try:
+        assert directory.fanout(wire.parse_query_header(wire.encode_query(query)), 2) == []
+    finally:
+        for server in busy:
+            server.shutdown()
+            server.server_close()
