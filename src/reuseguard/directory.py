@@ -44,6 +44,7 @@ from .errors import (
     InvalidCiphertextError,
     MalformedAddressError,
     StateError,
+    TransportError,
 )
 from .groups import P192
 
@@ -53,7 +54,9 @@ _33MAIL_SUFFIX = ".33mail.com"
 DEFAULT_WINDOW_SECONDS = 60.0
 TOKEN_TTL_SECONDS = 600.0  # a consent token unredeemed this long expires
 TIMEOUT_PROFILES = {"trusted": 2.0, "untrusted": 8.0}
-MAX_FANOUT = 64  # the most responders one query asks, each on its own thread
+# The most responders one query asks, and the most transport calls one
+# directory has in flight at once, on its one pool of reused threads.
+MAX_FANOUT = 64
 
 _AUDIT_FILTER_LENGTH = 16
 _AUDIT_NUM_HASHES = 2
@@ -139,6 +142,11 @@ class Directory:
     endpoint) and one ``flag`` line per flagged endpoint.  A line that does
     not replay, or a ``snapshot.json`` left by an older version, raises
     ``StateError``.  Queries are not logged, and ``close`` writes nothing.
+
+    Fan-out calls run on one pool of at most ``MAX_FANOUT`` threads, each
+    started only when no started one is idle and reused after.  The first
+    fan-out in each process builds the pool, so a forked child never uses
+    its parent's; ``close`` stops it.
     """
 
     def __init__(self, transport: Optional[Transport] = None, *,
@@ -169,6 +177,8 @@ class Directory:
         self._windows: Dict[str, _Window] = {}
         self._flagged: Set[ResponderEndpoint] = set()
         self._next_audit = None  # (query, keypair) from prepare_audit, for one audit
+        self._pool = None  # fan-out threads, built by the first fan-out in a process
+        self._pool_pid = None
         self._log_fh = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
@@ -285,16 +295,23 @@ class Directory:
         return tuple(eligible[:rho])
 
     def fanout(self, query, rho: int) -> list:
-        """Ask the first rho of the window's ranking (``_plan``) at once,
-        each on its own thread; permute replies.
+        """Ask the first rho of the window's ranking (``_plan``) at once, on
+        the directory's pool; permute replies.
 
         ``query`` is a ``wire.RawQuery`` or a ``protocol.QueryMessage``;
         only its ``account_id`` is read, and the transport gets this very
         object.  Requires an open consent window for the query's account;
         a rho outside [1, ``MAX_FANOUT``] raises ``ValueError`` before
         anyone is asked.  Keeps the replies that arrive within the
-        per-responder timeout, or the first early-return share of them.
-        The reply order is freshly and uniformly permuted.
+        per-responder timeout of the fan-out's start, or the first
+        early-return share of them.  The reply order is freshly and
+        uniformly permuted.
+
+        The fan-out has one deadline, its start plus the per-responder
+        timeout.  A call that waits for a free thread is given only the time
+        left, and one still waiting at the deadline or once this returns is
+        never sent.  So a responder that never answers holds a thread for at
+        most one timeout.
 
         Raises InvalidCiphertextError when every chosen responder rejected
         the query.  Honest responders reject an invalid query before they
@@ -308,20 +325,23 @@ class Directory:
         with self._lock:
             window = self._open_window(account)
             chosen = self._plan(window, account, rho)
+            if self._pool_pid != os.getpid():  # a forked copy counts threads it lacks
+                self._pool = futures.ThreadPoolExecutor(max_workers=MAX_FANOUT)
+                self._pool_pid = os.getpid()
+            pool = self._pool
         need = rho
         if self.early_return_fraction is not None:
             need = max(1, math.ceil(self.early_return_fraction * rho - 1e-9))
-        timeout = self.per_responder_timeout
+        deadline = time.monotonic() + self.per_responder_timeout
         responses, rejected = [], 0
-        pool = futures.ThreadPoolExecutor(max_workers=rho)
+        asked = [pool.submit(self._ask, ep, query, deadline) for ep in chosen]
         try:
-            asked = [pool.submit(self.transport, ep, query, timeout) for ep in chosen]
-            for fut in futures.as_completed(asked, timeout):
+            for fut in futures.as_completed(asked, deadline - time.monotonic()):
                 try:
                     reply = fut.result()
                 except InvalidCiphertextError:
                     rejected += 1
-                except Exception:  # unreachable, or failed otherwise
+                except Exception:  # unreachable, out of time, or failed otherwise
                     pass
                 else:
                     responses.append(reply)
@@ -330,12 +350,22 @@ class Directory:
         except futures.TimeoutError:  # the builtin TimeoutError only from 3.11
             pass
         finally:
-            # Do not wait out stragglers: early return is the whole point.
-            pool.shutdown(wait=False)
+            # Wait out no straggler, and send no call that has not started.
+            for fut in asked:
+                fut.cancel()  # a no-op on a call already sent
         if rejected == rho:
             raise InvalidCiphertextError("every chosen responder rejected the query")
         self._rng.shuffle(responses)
         return responses
+
+    def _ask(self, endpoint: ResponderEndpoint, query, deadline: float):
+        """One fan-out call, on a pool thread, with the time left before
+        ``deadline`` (``time.monotonic``); none left raises
+        ``TransportError`` and sends nothing."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TransportError("fan-out deadline passed before the call was sent")
+        return self.transport(endpoint, query, remaining)
 
     # -- audit ------------------------------------------------------------
 
@@ -421,6 +451,11 @@ class Directory:
             self._log_fh.flush()
 
     def close(self) -> None:
+        """Stop the fan-out pool, dropping the calls it has not started, and
+        close the state file.  Returns at once: a call already sent ends when
+        its transport returns."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None

@@ -570,13 +570,14 @@ def requester_set_password(client: DirectoryClient, account: str,
     goal, queries, and rejects the password when any responder detects a
     similar one.  On acceptance, executes the decoy policy (total runs
     for the episode reach at least ``min_runs``, plus one extra run with
-    the configured probability) and registers ``register_endpoint`` for
-    the account when given.  Only the first run hashes and decrypts: each
-    decoy query indexes a Bloom item drawn from ``rng``.  With decoys on,
-    the first run's scrypt wait fills the process's spare decoy, reject or
-    accept, and the flow's first decoy takes it as far as this and
-    earlier flows' waits built it.  Raises NoResponseError when a run,
-    decoys included, collects no reply at all.
+    the configured probability, decided by one ``rng`` draw before the
+    first decoy, so a seeded ``rng`` fixes the run count) and registers
+    ``register_endpoint`` for the account when given.  Only the first run
+    hashes and decrypts: each decoy query indexes a Bloom item drawn from
+    ``rng``.  With decoys on, the first run's scrypt wait fills the
+    process's spare decoy, reject or accept, and the flow's first decoy
+    takes it as far as this and earlier flows' waits built it.  Raises
+    NoResponseError when a run, decoys included, collects no reply at all.
     """
     rng = rng or _SYSTEM_RNG
     canonical = canonicalize(account)
@@ -610,10 +611,12 @@ def requester_set_password(client: DirectoryClient, account: str,
     if detections:
         return SetPasswordResult(False, detections, len(responses), runs, plan)
     if policy.enabled:
+        # Drawn before any decoy, whose own draws depend on the spare's seed.
+        extra = rng.random() < policy.extra_run_probability
         while runs < policy.min_runs:
             decoy_run()
             runs += 1
-        if rng.random() < policy.extra_run_probability:
+        if extra:
             decoy_run()
             runs += 1
     if register_endpoint is not None:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import signal
 import tempfile
 import threading
 import time
@@ -431,10 +432,131 @@ def test_early_return_leaves_no_thread_behind():
     responses = d.fanout(query, 2)
     assert [r.result_ciphertext.ephemeral for r in responses] == [0]
     release.set()
+    d.close()  # idle pool threads outlive a fan-out; close stops them
     deadline = time.monotonic() + 2
     while threading.active_count() > threads and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == threads
+
+
+def test_fanouts_reuse_the_pool_threads():
+    rho = 3
+    threads = []
+
+    def transport(endpoint, query, timeout):
+        threads.append(threading.current_thread())  # objects, not idents: those recur
+        return _indexed_reply(endpoint)
+
+    d = Directory(transport, rng=random.Random(15))
+    for i in range(rho):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    open_window(d)
+    query = make_query()[0]
+    for _ in range(20):
+        assert len(d.fanout(query, rho)) == rho
+    d.close()
+    assert len(threads) == 20 * rho
+    assert len(set(threads)) <= 2 * rho
+
+
+def _capped_directory(monkeypatch, max_fanout, timeout, transport, rho=2):
+    monkeypatch.setattr(directory, "MAX_FANOUT", max_fanout)
+    d = Directory(transport, per_responder_timeout=timeout, rng=random.Random(16))
+    for i in range(rho):
+        d.register(ACCOUNT, ResponderEndpoint(f"e-{i}"))
+    open_window(d)
+    return d
+
+
+def test_calls_queued_past_the_deadline_are_never_sent(monkeypatch):
+    release = threading.Event()
+    calls = []
+
+    def transport(endpoint, query, timeout):
+        calls.append(threading.current_thread())
+        release.wait(5)
+        return _indexed_reply(endpoint)
+
+    d = _capped_directory(monkeypatch, 2, 0.2, transport)
+    query = make_query()[0]
+    assert d.fanout(query, 2) == []  # both pool threads now busy
+    start = time.monotonic()
+    assert d.fanout(query, 2) == []
+    assert time.monotonic() - start < 0.2 + 0.15
+    release.set()
+    d.close()
+    for thread in set(calls):
+        thread.join(2)
+    assert len(calls) == 2
+
+
+def test_a_call_that_starts_late_gets_only_the_time_left(monkeypatch):
+    seen = []
+
+    def transport(endpoint, query, timeout):
+        seen.append((time.monotonic(), timeout))
+        if len(seen) == 1:
+            time.sleep(0.7)  # holds the only pool thread past the first deadline
+        return _indexed_reply(endpoint)
+
+    d = _capped_directory(monkeypatch, 1, 0.5, transport, rho=1)
+    query = make_query()[0]
+    assert d.fanout(query, 1) == []
+    start = time.monotonic()
+    assert len(d.fanout(query, 1)) == 1
+    d.close()
+    (called, timeout), = seen[1:]
+    assert called - start > 0.1
+    assert 0 < timeout <= 0.5 - (called - start) + 0.05
+
+
+def test_close_returns_at_once_and_drops_queued_calls(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+
+    def transport(endpoint, query, timeout):
+        calls.append(threading.current_thread())
+        entered.set()
+        release.wait(5)
+        return _indexed_reply(endpoint)
+
+    d = _capped_directory(monkeypatch, 1, 1.0, transport, rho=1)
+    query = make_query()[0]
+    fanouts = [threading.Thread(target=d.fanout, args=(query, 1)) for _ in range(2)]
+    fanouts[0].start()
+    assert entered.wait(2)
+    fanouts[1].start()  # its call queues behind the blocked one
+    time.sleep(0.1)
+    start = time.monotonic()
+    d.close()
+    assert time.monotonic() - start < 0.1
+    release.set()
+    calls[0].join(2)  # the pool thread stops once its call is done
+    assert not calls[0].is_alive()
+    for fanout in fanouts:
+        fanout.join(2)
+    assert len(calls) == 1
+
+
+def test_a_forked_child_fans_out_on_its_own_pool():
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    d, _ = directory_with_responders(3, per_responder_timeout=3.0)
+    open_window(d)
+    query = make_query()[0]
+    assert len(d.fanout(query, 3)) == 3
+    time.sleep(0.1)  # until the parent's pool counts its three threads idle
+    pid = os.fork()
+    if pid == 0:  # the child: its copy of the pool counts idle threads it lacks
+        code = 1
+        try:
+            signal.alarm(5)
+            code = 0 if len(d.fanout(query, 2)) == 2 else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    d.close()
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_permutation_uniform_over_positions():

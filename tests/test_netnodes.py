@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from reuseguard import elgamal, netnodes, planner, protocol, similarity, wire
+from reuseguard import bloom, elgamal, netnodes, planner, protocol, similarity, wire
 from reuseguard.directory import MAX_FANOUT, AuditVerdict, Directory, ResponderEndpoint
 from reuseguard.errors import (
     ConsentRequiredError,
@@ -539,6 +539,36 @@ def test_decoy_policy_runs_two_or_three(small_deployment):
         assert result.runs in (2, 3)
         runs_seen.add(result.runs)
     assert runs_seen == {2, 3}
+
+
+def test_a_seeded_flow_makes_the_same_runs_with_or_without_a_spare(small_deployment,
+                                                                  monkeypatch):
+    # A spare's Bloom seed comes from the system CSPRNG and decides how many
+    # slots, so how many r draws, its decoy takes from the flow's rng.
+    dserver, _ = small_deployment
+    client = DirectoryClient(dserver.address, TRUSTED_PROFILE, rng=random.Random(6))
+    monkeypatch.setattr(protocol, "_fill_spare", lambda *args: None)  # only planted spares
+
+    def run(seed, shape=None):
+        protocol._forget_spare()
+        if shape is not None:
+            protocol._spare = protocol._Spare(*shape)
+        client.confirm_consent(client.begin_consent(ACCOUNT))
+        result = requester_set_password(
+            client, ACCOUNT, f"fresh-pw-{seed}", 0.015, DecoyPolicy(enabled=True),
+            hash_params=CHEAP, rng=random.Random(seed))
+        assert result.accepted and result.runs in (2, 3)
+        assert shape is None or protocol._spare.taken
+        return result
+
+    try:
+        for seed in range(8):
+            alone = run(seed)
+            k = bloom.DEFAULT_NUM_HASHES
+            shape = (protocol.DEFAULT_GROUP, bloom.length_for(alone.plan.n, k), k)
+            assert run(seed, shape).runs == alone.runs
+    finally:
+        protocol._forget_spare()
 
 
 @pytest.mark.parametrize("kwargs", [
