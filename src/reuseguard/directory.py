@@ -179,6 +179,7 @@ class Directory:
         self._next_audit = None  # (query, keypair) from prepare_audit, for one audit
         self._pool = None  # fan-out threads, built by the first fan-out in a process
         self._pool_pid = None
+        self._closing = futures.Future()  # resolved by close: waiting fan-outs return
         self._log_fh = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
@@ -311,7 +312,7 @@ class Directory:
         timeout.  A call that waits for a free thread is given only the time
         left, and one still waiting at the deadline or once this returns is
         never sent.  So a responder that never answers holds a thread for at
-        most one timeout.
+        most one timeout.  A ``close`` returns the fan-out at once.
 
         Raises InvalidCiphertextError when every chosen responder rejected
         the query.  Honest responders reject an invalid query before they
@@ -336,7 +337,10 @@ class Directory:
         responses, rejected = [], 0
         asked = [pool.submit(self._ask, ep, query, deadline) for ep in chosen]
         try:
-            for fut in futures.as_completed(asked, deadline - time.monotonic()):
+            for fut in futures.as_completed(asked + [self._closing],
+                                            deadline - time.monotonic()):
+                if fut is self._closing:
+                    break
                 try:
                     reply = fut.result()
                 except InvalidCiphertextError:
@@ -452,8 +456,11 @@ class Directory:
 
     def close(self) -> None:
         """Stop the fan-out pool, dropping the calls it has not started, and
-        close the state file.  Returns at once: a call already sent ends when
-        its transport returns."""
+        close the state file.  Returns at once, and so does each fan-out still
+        waiting, with the replies it has: a call already sent ends when its
+        transport returns."""
+        if not self._closing.done():
+            self._closing.set_result(None)
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
         if self._log_fh is not None:

@@ -65,12 +65,17 @@ def draw_latency(profile: LatencyProfile, rng=None) -> float:
     return sum(rng.lognormvariate(mu, profile.sigma) for _ in range(profile.hops))
 
 
-def inject_latency(profile: Optional[LatencyProfile], rng=None) -> float:
-    """Sleep for one direction's worth of emulated path delay."""
+def inject_latency(profile: Optional[LatencyProfile], rng=None,
+                   deadline: float = math.inf) -> float:
+    """Sleep for one direction's worth of emulated path delay, but not past
+    ``deadline`` (``time.monotonic``): a delay that reaches it sleeps only
+    until it and raises ``TransportError``."""
     if profile is None:
         return 0.0
     delay = draw_latency(profile, rng)
-    time.sleep(delay)
+    time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
+    if time.monotonic() >= deadline:
+        raise TransportError(f"a path delay of {delay:.3f} s reached the call's deadline")
     return delay
 
 
@@ -166,11 +171,8 @@ def answer_query(store: ResponderStore, payload: bytes, rng=None) -> Tuple[int, 
     return wire.OP_RESPONSE, wire.encode_response(response, group)
 
 
-# Dispatched in place of a frame that could not be read: no opcode has it.
-_UNREADABLE_FRAME = -1
-
 # Longest time a client has to send a whole request frame.  One that has
-# not sent it by then gets the unreadable-frame answer, so neither an idle
+# not sent it by then gets a padded ERR_MALFORMED, so neither an idle
 # connection nor one that trickles bytes holds a handler thread.
 IDLE_TIMEOUT_S = 10.0
 
@@ -196,25 +198,6 @@ def _read_frame_by(sock: socket.socket, deadline: float) -> Tuple[int, bytes]:
     return wire.read_frame(read)
 
 
-class _FrameHandler(socketserver.BaseRequestHandler):
-    """Reads one frame, sends back the server's ``dispatch`` of it, closes
-    the connection and only then runs the server's ``after_reply``."""
-
-    def handle(self):
-        sock = self.request
-        try:
-            opcode, payload = _read_frame_by(sock, time.monotonic() + IDLE_TIMEOUT_S)
-        except (FrameError, OSError):  # a bad frame, a timeout, a reset
-            opcode, payload = _UNREADABLE_FRAME, b""
-        reply = wire.encode_frame(*self.server.dispatch(opcode, payload))
-        try:
-            sock.sendall(reply)
-        except OSError:
-            pass
-        self.server.shutdown_request(sock)  # closing it again later is a no-op
-        self.server.after_reply(opcode)
-
-
 # Most connections one daemon serves at once, each on its own handler
 # thread.  Beyond it a connection is refused, not queued.
 MAX_HANDLERS = 64
@@ -227,8 +210,8 @@ class _FrameServer(socketserver.TCPServer):
     The serving thread hands each accepted connection to an idle handler
     thread, or starts one when none is idle and fewer than ``MAX_HANDLERS``
     run.  Otherwise it sends the connection a padded ``ERR_INTERNAL`` frame
-    itself and closes it.  A handler serves one connection at a time, runs
-    ``after_reply`` and then waits idle for the next.  None starts before the
+    itself and closes it.  A handler serves one connection at a time
+    (``_serve``) and then waits idle for the next.  None starts before the
     first connection, none delays the process's exit, and ``server_close``
     stops the idle ones; a busy one stops when its connection is done.
     """
@@ -241,7 +224,7 @@ class _FrameServer(socketserver.TCPServer):
         self._handlers = 0  # started, counted under _lock with _idle and _closed
         self._idle = 0
         self._closed = False
-        super().__init__(listen_addr, _FrameHandler)
+        super().__init__(listen_addr, None)  # no handler class: _serve serves
 
     def process_request(self, request, client_address):
         with self._lock:
@@ -260,17 +243,34 @@ class _FrameServer(socketserver.TCPServer):
                 pass
             self.shutdown_request(request)
         else:
-            threading.Thread(target=self._handle_until_closed,
+            threading.Thread(target=self._serve,
                              args=(request, client_address), daemon=True).start()
 
-    def _handle_until_closed(self, request, client_address) -> None:
+    def _serve(self, request, client_address) -> None:
+        """Serve ``request``, then each connection handed to this thread,
+        until the server closes: the ``dispatch`` of its one frame read within
+        ``IDLE_TIMEOUT_S`` (a padded ``ERR_MALFORMED`` if none is), one close,
+        and only then ``after_reply`` for the frame's opcode."""
         while request is not None:
+            opcode = None
             try:
-                self.finish_request(request, client_address)
+                try:
+                    opcode, payload = _read_frame_by(request, time.monotonic() + IDLE_TIMEOUT_S)
+                except (FrameError, OSError):  # a bad frame, a timeout, a reset
+                    reply = wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, P192)
+                else:
+                    reply = self.dispatch(opcode, payload)
+                request.sendall(wire.encode_frame(*reply))
+            except OSError:  # the peer has gone
+                pass
+            except Exception:  # a fault in dispatch: no reply
+                self.handle_error(request, client_address)
+            self.shutdown_request(request)
+            try:
+                if opcode is not None:
+                    self.after_reply(opcode)
             except Exception:
                 self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
             with self._lock:
                 if self._closed:
                     return
@@ -330,6 +330,8 @@ def tcp_request(address: str, opcode: int, payload: bytes, timeout: float
     Every failure, a timeout included, is a ``TransportError``.  Never
     retried: a register, a consent request or a query sent twice is not
     one sent once."""
+    if timeout <= 0:  # as a socket timeout, a negative one is a ValueError
+        raise TransportError(f"no time left for a request to {address}")
     deadline = time.monotonic() + timeout
     try:
         with socket.create_connection(_parse_addr(address), timeout=timeout) as sock:
@@ -340,33 +342,50 @@ def tcp_request(address: str, opcode: int, payload: bytes, timeout: float
         raise TransportError(f"request to {address} failed: {exc}") from exc
 
 
-def _responder_transport(send, profile: Optional[LatencyProfile], rng):
-    """Directory-side transport around ``send(endpoint, payload, timeout)``.
+# What an error reply raises, from any node; another code raises TransportError.
+_ERROR_EXCEPTIONS = {
+    wire.ERR_MALFORMED: FrameError,
+    wire.ERR_CONSENT_REQUIRED: ConsentRequiredError,
+    wire.ERR_INSUFFICIENT_RESPONDERS: InsufficientRespondersError,
+    wire.ERR_INVALID_CIPHERTEXT: InvalidCiphertextError,
+}
 
-    ``send`` delivers one query payload and returns the reply's opcode and
-    body.  A ``wire.RawQuery`` (a relayed query) goes out as its payload
-    bytes and comes back as the reply's bytes, checked for size only.  A
+
+def _exchange(send, address: str, opcode: int, payload: bytes, expect: int,
+              timeout: float, profile: Optional[LatencyProfile], rng) -> bytes:
+    """One call from node to node, all within ``timeout``: the emulated path
+    delay, ``send(address, opcode, payload, time_left)``, the delay back, and
+    the reply's body.  An error reply raises its ``_ERROR_EXCEPTIONS`` type
+    (``TransportError`` for a code not there), and a reply of an opcode other
+    than ``expect`` raises ``TransportError``."""
+    deadline = time.monotonic() + timeout
+    inject_latency(profile, rng, deadline)
+    got_op, body = send(address, opcode, payload, deadline - time.monotonic())
+    inject_latency(profile, rng, deadline)
+    if got_op == wire.OP_ERROR:
+        code = wire.decode_error(body)
+        raise _ERROR_EXCEPTIONS.get(code, TransportError)(f"{address} answered error code {code}")
+    if got_op != expect:
+        raise TransportError(f"unexpected opcode {got_op} from {address}")
+    return body
+
+
+def _responder_transport(send, profile: Optional[LatencyProfile], rng):
+    """Directory-side transport: each query is one ``_exchange`` by ``send``.
+
+    A ``wire.RawQuery`` (a relayed query) goes out as its payload bytes and
+    comes back as the reply's bytes, checked for size only.  A
     ``protocol.QueryMessage`` (an audit) is encoded, and its reply decoded.
-    An ``ERR_INVALID_CIPHERTEXT`` reply raises ``InvalidCiphertextError``;
-    any other error reply, such as a busy responder's ``ERR_INTERNAL``,
-    raises ``TransportError``, so ``Directory.fanout`` does not count it as
-    a rejection.
+    Of the error replies only ``ERR_INVALID_CIPHERTEXT`` raises
+    ``InvalidCiphertextError``, the one ``Directory.fanout`` counts as a rejection.
     """
 
     def transport(endpoint: ResponderEndpoint, query, timeout: float):
         relay = isinstance(query, wire.RawQuery)
         group = query.group if relay else query.pk.group
         payload = query.payload if relay else wire.encode_query(query)
-        inject_latency(profile, rng)
-        opcode, body = send(endpoint, payload, timeout)
-        inject_latency(profile, rng)
-        if opcode == wire.OP_ERROR:
-            code = wire.decode_error(body)
-            if code == wire.ERR_INVALID_CIPHERTEXT:
-                raise InvalidCiphertextError("responder rejected the query")
-            raise TransportError(f"responder error {code}")
-        if opcode != wire.OP_RESPONSE:
-            raise TransportError(f"unexpected opcode {opcode}")
+        body = _exchange(send, endpoint.address, wire.OP_QUERY, payload, wire.OP_RESPONSE,
+                         timeout, profile, rng)
         if not relay:
             return wire.decode_response(body, group)
         if len(body) != wire.response_payload_size(group):
@@ -379,10 +398,8 @@ def _responder_transport(send, profile: Optional[LatencyProfile], rng):
 def make_tcp_responder_transport(profile: Optional[LatencyProfile] = None):
     """Transport delivering queries to responder services over TCP, once each."""
 
-    def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
-        return tcp_request(endpoint.address, wire.OP_QUERY, payload, timeout)
-
-    return _responder_transport(send, profile, None)
+    # tcp_request looked up at each call, so a patch of it applies
+    return _responder_transport(lambda *call: tcp_request(*call), profile, None)
 
 
 def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
@@ -393,10 +410,10 @@ def make_inprocess_responder_transport(stores: Dict[str, ResponderStore],
     Each query and reply passes through the real codecs, as over TCP.
     """
 
-    def send(endpoint: ResponderEndpoint, payload: bytes, timeout: float):
-        store = stores.get(endpoint.address)
+    def send(address: str, opcode: int, payload: bytes, timeout: float):
+        store = stores.get(address)
         if store is None:
-            raise TransportError(f"no responder at {endpoint.address}")
+            raise TransportError(f"no responder at {address}")
         return answer_query(store, payload, rng)
 
     return _responder_transport(send, profile, rng)
@@ -410,13 +427,12 @@ class DirectoryServer(_FrameServer):
         self.directory = directory
 
     def dispatch(self, opcode: int, payload: bytes) -> Tuple[int, bytes]:
+        """A query that does not parse is ``ERR_INVALID_CIPHERTEXT``, any
+        other request that does not parse ``ERR_MALFORMED``."""
         group = P192  # until a query header names its curve
         try:
             if opcode != wire.OP_QUERY:
-                try:
-                    return self._coordinate(opcode, payload)
-                except FrameError:
-                    return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, group)
+                return self._coordinate(opcode, payload)
             # Route on the header; query and reply bytes pass through.
             rho, query_payload = wire.decode_directory_query(payload)
             raw = wire.parse_query_header(query_payload)
@@ -424,15 +440,16 @@ class DirectoryServer(_FrameServer):
             return wire.OP_RESPONSES, wire.encode_responses(
                 self.directory.fanout(raw, rho))
         except (MalformedAddressError, ValueError):  # no email address, rho out of range
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_MALFORMED, group)
+            code = wire.ERR_MALFORMED
         except (ConsentRequiredError, ConsentTokenError):
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_CONSENT_REQUIRED, group)
+            code = wire.ERR_CONSENT_REQUIRED
         except InsufficientRespondersError:
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_INSUFFICIENT_RESPONDERS, group)
+            code = wire.ERR_INSUFFICIENT_RESPONDERS
         except (InvalidCiphertextError, FrameError):
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_INVALID_CIPHERTEXT, group)
+            code = wire.ERR_INVALID_CIPHERTEXT if opcode == wire.OP_QUERY else wire.ERR_MALFORMED
         except Exception:
-            return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, group)
+            code = wire.ERR_INTERNAL
+        return wire.OP_ERROR, wire.encode_error(code, group)
 
     def after_reply(self, opcode: int) -> None:
         """Build the next audit once an audit's verdict is sent, so the next
@@ -473,14 +490,6 @@ def serve_directory(directory: Directory, listen_addr: str) -> DirectoryServer:
 
 # -- requester client --------------------------------------------------------
 
-_ERROR_EXCEPTIONS = {
-    wire.ERR_MALFORMED: FrameError,
-    wire.ERR_CONSENT_REQUIRED: ConsentRequiredError,
-    wire.ERR_INSUFFICIENT_RESPONDERS: InsufficientRespondersError,
-    wire.ERR_INVALID_CIPHERTEXT: InvalidCiphertextError,
-}
-
-
 class DirectoryClient:
     """Blocking client for the directory's framed API."""
 
@@ -492,16 +501,8 @@ class DirectoryClient:
         self.rng = rng or _SYSTEM_RNG
 
     def _call(self, opcode: int, payload: bytes, expect: int) -> bytes:
-        inject_latency(self.profile, self.rng)
-        got_op, body = tcp_request(self.address, opcode, payload, self.timeout)
-        inject_latency(self.profile, self.rng)
-        if got_op == wire.OP_ERROR:
-            code = wire.decode_error(body)
-            exc = _ERROR_EXCEPTIONS.get(code, TransportError)
-            raise exc(f"directory error code {code}")
-        if got_op != expect:
-            raise TransportError(f"unexpected opcode {got_op}")
-        return body
+        return _exchange(tcp_request, self.address, opcode, payload, expect,
+                         self.timeout, self.profile, self.rng)
 
     def register(self, account: str, address: str) -> Tuple[bool, str]:
         return wire.decode_ack(self._call(

@@ -538,6 +538,33 @@ def test_close_returns_at_once_and_drops_queued_calls(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_fanout_waiting_at_close_returns_at_once(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+
+    def transport(endpoint, query, timeout):
+        entered.set()
+        release.wait(5)
+        return _indexed_reply(endpoint)
+
+    d = _capped_directory(monkeypatch, 1, 3.0, transport, rho=1)
+    query = make_query()[0]
+    results = []
+    fanouts = [threading.Thread(target=lambda: results.append(d.fanout(query, 1)))
+               for _ in range(2)]
+    fanouts[0].start()
+    assert entered.wait(2)
+    fanouts[1].start()  # its call queues behind the blocked one
+    time.sleep(0.2)
+    d.close()
+    try:
+        for fanout in fanouts:
+            fanout.join(0.5)  # well before the 3 s deadline
+            assert not fanout.is_alive()
+    finally:
+        release.set()
+    assert results == [[], []]
+
+
 def test_a_forked_child_fans_out_on_its_own_pool():
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")

@@ -15,8 +15,10 @@ from reuseguard.directory import MAX_FANOUT, AuditVerdict, Directory, ResponderE
 from reuseguard.errors import (
     ConsentRequiredError,
     FrameError,
+    InsufficientRespondersError,
     InvalidCiphertextError,
     NoResponseError,
+    ReuseGuardError,
     TransportError,
 )
 from reuseguard.groups import P192, P224, P256, EllipticCurveGroup
@@ -434,6 +436,11 @@ def _timed_request(address, timeout=0.3):
     return time.monotonic() - start
 
 
+def test_a_request_with_no_time_left_is_a_transport_error():
+    with pytest.raises(TransportError):
+        tcp_request("127.0.0.1:1", wire.OP_NEGOTIATE, wire.encode_text(ACCOUNT), -0.001)
+
+
 def test_request_to_a_silent_server_raises_transport_error_in_time():
     with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
         assert _timed_request("127.0.0.1:%d" % listener.getsockname()[1]) < 1.0
@@ -467,6 +474,63 @@ def test_request_to_a_trickling_server_raises_transport_error_in_time():
         server.join(timeout=5.0)
         listener.close()
     assert not server.is_alive()
+
+
+def _raw_query():
+    query, _ = protocol.build_query(ACCOUNT, "pw", 2, group=P192, hash_params=CHEAP)
+    return wire.parse_query_header(wire.encode_query(query))
+
+
+def _directory_and_responder_calls(address, profile, timeout):
+    """One requester call to a directory and one directory call to a
+    responder, both at ``address``."""
+    client = DirectoryClient(address, profile, timeout=timeout, rng=random.Random(26))
+    transport = make_tcp_responder_transport(profile)
+    raw = _raw_query()
+    return (lambda: client.negotiate(ACCOUNT),
+            lambda: transport(ResponderEndpoint(address), raw, timeout))
+
+
+def test_a_call_to_a_silent_node_ends_within_its_timeout_path_delay_included():
+    timeout = 0.3  # about 2.5 times the untrusted profile's median delay
+    overruns = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        for ask in _directory_and_responder_calls(address, UNTRUSTED_PROFILE, timeout) * 5:
+            start = time.monotonic()
+            with pytest.raises(TransportError):
+                ask()
+            overruns.append(time.monotonic() - start - timeout)
+    assert max(overruns) < 0.05
+
+
+def test_a_path_delay_past_the_deadline_sends_nothing(monkeypatch):
+    sent = []
+    monkeypatch.setattr(netnodes, "draw_latency", lambda profile, rng=None: 1.0)
+    monkeypatch.setattr(netnodes, "tcp_request", lambda *call: sent.append(call))
+    for ask in _directory_and_responder_calls("127.0.0.1:1", UNTRUSTED_PROFILE, 0.2):
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            ask()
+        assert time.monotonic() - start < 0.2 + 0.05
+    assert sent == []
+
+
+@pytest.mark.parametrize("code, expected", [
+    (wire.ERR_INVALID_CIPHERTEXT, InvalidCiphertextError),
+    (wire.ERR_MALFORMED, FrameError),
+    (wire.ERR_CONSENT_REQUIRED, ConsentRequiredError),
+    (wire.ERR_INSUFFICIENT_RESPONDERS, InsufficientRespondersError),
+    (wire.ERR_INTERNAL, TransportError),
+    (99, TransportError),  # a code no version sends
+])
+def test_an_error_reply_raises_one_type_on_every_call(monkeypatch, code, expected):
+    reply = wire.OP_ERROR, wire.encode_error(code, P192)
+    monkeypatch.setattr(netnodes, "tcp_request", lambda *call: reply)
+    for ask in _directory_and_responder_calls("127.0.0.1:1", TRUSTED_PROFILE, 1.0):
+        with pytest.raises(ReuseGuardError) as info:
+            ask()
+        assert type(info.value) is expected
 
 
 # -- full flow over sockets ----------------------------------------------------
@@ -1374,13 +1438,20 @@ def test_sequential_requests_reuse_handler_threads_and_close_stops_them(daemon,
 
 
 class _BusyResponder(netnodes._FrameServer):
-    """Answers every query as a responder with no free handler does."""
+    """Answers every query with one error code: ``ERR_INTERNAL`` as a
+    responder with no free handler does, ``ERR_MALFORMED`` as one that
+    cannot read the frame does."""
+
+    code = wire.ERR_INTERNAL
 
     def dispatch(self, opcode, payload):
-        return wire.OP_ERROR, wire.encode_error(wire.ERR_INTERNAL, P192)
+        return wire.OP_ERROR, wire.encode_error(self.code, P192)
 
 
-def test_a_busy_responder_is_not_a_rejection():
+@pytest.mark.parametrize("code", [wire.ERR_INTERNAL, wire.ERR_MALFORMED],
+                         ids=["ERR_INTERNAL", "ERR_MALFORMED"])
+def test_a_busy_responder_is_not_a_rejection(monkeypatch, code):
+    monkeypatch.setattr(_BusyResponder, "code", code)
     busy = [_BusyResponder(("127.0.0.1", 0)).serve_in_background() for _ in range(2)]
     directory = Directory(make_tcp_responder_transport(), rng=random.Random(25))
     for server in busy:
