@@ -33,17 +33,15 @@ def planner_main(argv=None) -> int:
 
     p_fit = sub.add_parser("fit", help="fit latency coefficients from a CSV")
     p_fit.add_argument("--csv", required=True,
-                       help="bench output or bare rho,n,time CSV")
+                       help="rho,n,time rows, as planner bench writes them")
 
-    p_bench = sub.add_parser("bench", help="run the local benchmark harness")
+    p_bench = sub.add_parser("bench", help="time in-process round trips as rho,n,time rows")
     p_bench.add_argument("--curve-id", default="P192", choices=sorted(CURVES))
     p_bench.add_argument("--n", type=int, nargs="+", default=[1, 8])
     p_bench.add_argument("--rho", type=int, nargs="+", default=[1, 4])
     p_bench.add_argument("--rounds", type=int, default=3)
     p_bench.add_argument("--profile", choices=["none", *netnodes.PROFILES],
                          default="none")
-    p_bench.add_argument("--threshold", type=float, default=5.0,
-                         help="qualifying response-time threshold in seconds")
     p_bench.add_argument("--out", help="CSV output path (default: stdout)")
 
     args = parser.parse_args(argv)
@@ -79,13 +77,11 @@ def planner_main(argv=None) -> int:
     if args.command == "fit":
         try:
             with open(args.csv) as fh:
-                model = planner.fit_model(bench.read_fit_samples(fh))
+                model = planner.fit_model(planner.parse_samples_file(fh.read()))
         except (OSError, ValueError) as exc:
             print(f"fit failed: {exc}", file=sys.stderr)
             return 1
-        for name in ("c0", "c1", "c2", "c3"):
-            print(f"{name} = {getattr(model, name):.6e}")
-        print(f"rmse = {model.rmse:.4f}")
+        print(planner.format_coeffs_file(model), end="")
         return 0
 
     if args.command == "bench":
@@ -93,17 +89,17 @@ def planner_main(argv=None) -> int:
         try:
             scenario = bench.BenchScenario(
                 curve=args.curve_id, n_values=tuple(args.n),
-                rho_values=tuple(args.rho), rounds=args.rounds, profile=profile,
-                qualifying_threshold_s=args.threshold)
-        except ValueError as exc:  # an n, rho or round count out of range, a bad threshold
+                rho_values=tuple(args.rho), rounds=args.rounds, profile=profile)
+        except ValueError as exc:  # an n, rho or round count out of range
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        records = bench.bench_run(scenario)
+        text = planner.format_samples_file(
+            (r.rho, r.n, r.time_s) for r in bench.bench_run(scenario))
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                bench.write_csv(records, fh)
+            with open(args.out, "w") as fh:
+                fh.write(text)
         else:
-            bench.write_csv(records, sys.stdout)
+            print(text, end="")
         return 0
 
     return 2

@@ -141,7 +141,8 @@ class Directory:
     holding only the live state: one ``register`` line per (account,
     endpoint) and one ``flag`` line per flagged endpoint.  A line that does
     not replay, or a ``snapshot.json`` left by an older version, raises
-    ``StateError``.  Queries are not logged, and ``close`` writes nothing.
+    ``StateError``.  Queries are not logged, and ``close`` writes nothing;
+    a registry or flag change after it raises ``StateError``.
 
     Fan-out calls run on one pool of at most ``MAX_FANOUT`` threads, each
     started only when no started one is idle and reused after.  The first
@@ -193,29 +194,28 @@ class Directory:
     def register(self, canonical_id: str, endpoint: ResponderEndpoint) -> Ack:
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            endpoints = self._accounts.setdefault(canonical_id, set())
-            already = endpoint in endpoints
-            endpoints.add(endpoint)
+            already = endpoint in self._accounts.get(canonical_id, ())
             self._log("register", endpoint, canonical_id)
+            self._accounts.setdefault(canonical_id, set()).add(endpoint)
             return Ack(warning="endpoint already registered" if already else None)
 
     def deregister(self, canonical_id: str, endpoint: ResponderEndpoint) -> Ack:
         canonical_id = canonicalize(canonical_id)
         with self._lock:
-            if not self._drop(canonical_id, endpoint):
+            if endpoint not in self._accounts.get(canonical_id, ()):
                 return Ack(warning="endpoint was not registered")
             self._log("deregister", endpoint, canonical_id)
+            self._drop(canonical_id, endpoint)
             return Ack()
 
-    def _drop(self, account: str, endpoint: ResponderEndpoint) -> bool:
+    def _drop(self, account: str, endpoint: ResponderEndpoint) -> None:
         """Unregister; an account left with no endpoint is forgotten."""
         endpoints = self._accounts.get(account, ())
         if endpoint not in endpoints:
-            return False
+            return
         endpoints.discard(endpoint)
         if not endpoints:
             del self._accounts[account]
-        return True
 
     def _eligible(self, account: str) -> list:
         """The account's endpoints that no audit has flagged: the only ones
@@ -436,8 +436,8 @@ class Directory:
             return AuditVerdict.INCONCLUSIVE
         if plaintext == keypair.group.identity:
             with self._lock:
-                self._flagged.add(endpoint)
                 self._log("flag", endpoint)
+                self._flagged.add(endpoint)
             return AuditVerdict.LYING
         return AuditVerdict.HONEST
 
@@ -449,10 +449,16 @@ class Directory:
 
     def _log(self, op: str, endpoint: ResponderEndpoint,
              account: Optional[str] = None) -> None:
-        """Append one event; callers hold ``_lock``, so lines never interleave."""
-        if self._log_fh is not None:
-            self._log_fh.write(_event_line(op, endpoint, account))
-            self._log_fh.flush()
+        """Append one event before the change it records is made; callers
+        hold ``_lock``, so lines never interleave.  Raises ``StateError``
+        once ``close`` has closed the state file, so no change is
+        acknowledged that a restart would not replay."""
+        if self._log_fh is None:
+            return
+        if self._log_fh.closed:
+            raise StateError("the directory is closed; the change would not be saved")
+        self._log_fh.write(_event_line(op, endpoint, account))
+        self._log_fh.flush()
 
     def close(self) -> None:
         """Stop the fan-out pool, dropping the calls it has not started, and
@@ -463,9 +469,9 @@ class Directory:
             self._closing.set_result(None)
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
-        if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+        with self._lock:
+            if self._log_fh is not None:
+                self._log_fh.close()
 
     def _load_state(self, log_path: str) -> None:
         snapshot = os.path.join(os.path.dirname(log_path), "snapshot.json")

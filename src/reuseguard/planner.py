@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import InfeasibleError
 
@@ -194,6 +194,28 @@ def parse_curve_file(text: str) -> ReuseCurve:
     return ReuseCurve(tuple(anchors))
 
 
+SAMPLES_HEADER = "rho,n,time"
+COEFF_NAMES = ("c0", "c1", "c2", "c3")
+
+
+def parse_samples_file(text: str) -> List[Tuple[float, float, float]]:
+    """Samples file: one ``rho,n,time`` row per measured round trip, after
+    an optional ``rho,n,time`` header; blank lines are skipped."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if rows and [field.strip() for field in rows[0]] == SAMPLES_HEADER.split(","):
+        rows = rows[1:]
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError(f"not a {SAMPLES_HEADER} row: {','.join(row)}")
+    return [(float(rho), float(n), float(t)) for rho, n, t in rows]
+
+
+def format_samples_file(samples: Iterable[Tuple[float, float, float]]) -> str:
+    """The samples file ``parse_samples_file`` reads, with a header and each
+    time written exactly."""
+    return SAMPLES_HEADER + "\n" + "".join(f"{rho},{n},{t!r}\n" for rho, n, t in samples)
+
+
 def parse_coeffs_file(text: str) -> LatencyModel:
     """Coefficients file: ``key = value`` lines for c0..c3 (rmse optional)."""
     values = {}
@@ -203,10 +225,17 @@ def parse_coeffs_file(text: str) -> LatencyModel:
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         values[key] = float(value)
-    missing = {"c0", "c1", "c2", "c3"} - values.keys()
+    missing = set(COEFF_NAMES) - values.keys()
     if missing:
         raise ValueError(f"coefficients file missing {sorted(missing)}")
     return LatencyModel(
         values["c0"], values["c1"], values["c2"], values["c3"],
         rmse=values.get("rmse", 0.0),
     )
+
+
+def format_coeffs_file(model: LatencyModel) -> str:
+    """The coefficients file ``parse_coeffs_file`` reads, as ``planner fit``
+    prints it."""
+    lines = [f"{name} = {getattr(model, name):.6e}" for name in COEFF_NAMES]
+    return "\n".join(lines + [f"rmse = {model.rmse:.4f}"]) + "\n"

@@ -715,6 +715,29 @@ def test_persistence_roundtrip(tmp_path):
     d2.close()
 
 
+def test_a_change_after_close_raises_and_is_never_acknowledged(tmp_path):
+    def rigged(endpoint, query, timeout):
+        return protocol.ResponseMessage(
+            elgamal.encrypt(query.pk, query.pk.group.identity))
+
+    state = tmp_path / "dstate"
+    d = Directory(rigged, state_dir=str(state), rng=random.Random(13))
+    d.register(ACCOUNT, ResponderEndpoint("a:1"))
+    d.close()
+    with pytest.raises(StateError):
+        d.register("other@example.com", ResponderEndpoint("b:1"))
+    with pytest.raises(StateError):
+        d.deregister(ACCOUNT, ResponderEndpoint("a:1"))
+    with pytest.raises(StateError):
+        d.audit_responder(ResponderEndpoint("a:1"))
+    assert (d.responder_count(ACCOUNT), d.responder_count("other@example.com"),
+            d.flagged) == (1, 0, set())
+    d2 = Directory(None, state_dir=str(state))
+    assert (d2.responder_count(ACCOUNT), d2.responder_count("other@example.com"),
+            d2.flagged) == (1, 0, set())
+    d2.close()
+
+
 def test_fanout_logs_no_event(tmp_path):
     state = tmp_path / "dstate"
     sets = {"r0": similarity.build_similar_set(ACCOUNT, "hunter2", 0, 5, CHEAP)}

@@ -13,9 +13,12 @@ from reuseguard.planner import (
     TRUSTED_MODEL,
     UNTRUSTED_MODEL,
     fit_model,
+    format_coeffs_file,
+    format_samples_file,
     optimize,
     parse_coeffs_file,
     parse_curve_file,
+    parse_samples_file,
     predict_time,
     reuse_probability,
     tdr,
@@ -207,6 +210,36 @@ def test_parse_coeffs_file():
     assert model == UNTRUSTED_MODEL
     with pytest.raises(ValueError):
         parse_coeffs_file("c0 = 1.0\nc1 = 2.0\n")
+
+
+def test_format_coeffs_file_is_what_parse_coeffs_file_reads():
+    text = format_coeffs_file(UNTRUSTED_MODEL)
+    assert text == ("c0 = 1.550700e+00\nc1 = 5.883400e-03\nc2 = 2.620900e-03\n"
+                    "c3 = 4.713500e-05\nrmse = 0.4547\n")
+    assert parse_coeffs_file(text) == UNTRUSTED_MODEL
+
+
+_SAMPLE_FIELDS = st.one_of(st.floats().map(repr), st.integers().map(str),
+                           st.sampled_from(["rho", "n", "time", " ", ""]),
+                           st.text(max_size=5))
+_SAMPLE_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(_SAMPLE_FIELDS, min_size=1, max_size=4).map(",".join),
+             max_size=6).map("\n".join),
+)
+
+
+@settings(max_examples=300)
+@given(_SAMPLE_TEXT)
+def test_any_samples_text_parses_to_float_triples_or_raises_value_error(text):
+    try:
+        samples = parse_samples_file(text)
+    except ValueError:
+        return
+    assert all(len(s) == 3 and all(type(v) is float for v in s) for s in samples)
+    # What the writer writes, the parser reads back exactly (nan included).
+    again = parse_samples_file(format_samples_file(samples))
+    assert [tuple(map(repr, s)) for s in again] == [tuple(map(repr, s)) for s in samples]
 
 
 def test_model_is_plain_data():
